@@ -4,11 +4,12 @@ Builds a stress-world KB (:mod:`repro.datagen.stress`, 100k entities by
 default), compiles it into one mmap snapshot image, and measures what it
 costs to stand up an extra serving worker two ways:
 
-* **baseline** — the fork/pickle path (`repro.cli._PipelineFactory`):
-  each spawned worker re-loads the TSV KB directory and rebuilds its
-  models in memory;
-* **snapshot** — `SnapshotPipelineFactory`: each spawned worker maps the
-  read-only image by path; models are typed windows over shared pages.
+* **baseline** — the fork/pickle path (a `PipelineSpec` over the KB
+  directory): each spawned worker re-loads the TSV KB directory and
+  rebuilds its models in memory;
+* **snapshot** — a `PipelineSpec` over the image: each spawned worker
+  maps the read-only image by path; models are typed windows over shared
+  pages.
 
 Per worker kind it reports attach wall-time, first-request latency, and
 the *extra anonymous memory* the worker holds beyond a bare interpreter
@@ -140,14 +141,11 @@ def run_benchmark(
     entities: int, workers: int, keep_dir: Optional[str] = None
 ) -> Dict[str, object]:
     """Build the stress KB + snapshot and probe both worker kinds."""
-    from repro.cli import _PipelineFactory
+    from repro.core.config import AidaConfig
+    from repro.core.spec import PipelineSpec
     from repro.datagen.stress import StressConfig, generate_stress_kb
     from repro.kb.io import kb_fingerprint, save_knowledge_base
-    from repro.kb.snapshot import (
-        SnapshotPipelineFactory,
-        build_snapshot,
-        load_snapshot,
-    )
+    from repro.kb.snapshot import build_snapshot, load_snapshot
 
     record: Dict[str, object] = {"entities": entities, "workers": workers}
     with tempfile.TemporaryDirectory(dir=keep_dir) as workdir:
@@ -186,8 +184,12 @@ def run_benchmark(
         record["interpreter_floor"] = floor
 
         kinds = {
-            "baseline_fork_pickle": _PipelineFactory(kb_dir, "full"),
-            "snapshot_mmap": SnapshotPipelineFactory(snap_path),
+            "baseline_fork_pickle": PipelineSpec(
+                AidaConfig.full(), kb_dir=kb_dir
+            ),
+            "snapshot_mmap": PipelineSpec(
+                AidaConfig.full(), snapshot=snap_path
+            ),
         }
         for kind, factory in kinds.items():
             probes = [_spawn_probe(factory, text) for _ in range(workers)]

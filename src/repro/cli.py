@@ -47,8 +47,10 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import json
 import os
+import signal
 import sys
 from typing import List, Optional, Sequence
 
@@ -58,7 +60,7 @@ from repro.core.config import (
     AidaConfig,
 )
 from repro.errors import ConfigurationError
-from repro.core.pipeline import AidaDisambiguator
+from repro.core.spec import PipelineSpec
 from repro.datagen.wikipedia import build_world_kb
 from repro.faults import (
     FaultInjector,
@@ -439,24 +441,26 @@ def _add_prerank_arguments(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _apply_pipeline_flags(
-    config: AidaConfig, args: argparse.Namespace
-) -> AidaConfig:
-    """Overlay the shared pipeline flags on a variant config.
-
-    Re-validates after mutation (``__post_init__`` only saw the variant
-    defaults) and turns a bad combination into a clean CLI error instead
-    of a traceback.
-    """
-    config.use_compiled = args.compiled
-    config.relatedness_backend = args.relatedness
-    config.similarity_backend = args.similarity_backend
-    config.prerank_topk = args.prerank_topk
+def _pipeline_spec(args: argparse.Namespace) -> PipelineSpec:
+    """The pipeline the flags describe; the parent, process workers and
+    the server all build from it.  A bad combination becomes a clean CLI
+    error instead of a traceback."""
     try:
-        config.validate()
+        return PipelineSpec(
+            dataclasses.replace(
+                AIDA_VARIANTS[args.variant](),
+                use_compiled=args.compiled,
+                relatedness_backend=args.relatedness,
+                similarity_backend=args.similarity_backend,
+                prerank_topk=args.prerank_topk,
+            ),
+            kb_dir=args.kb,
+            snapshot=getattr(args, "snapshot", None),
+            cache_relatedness=getattr(args, "cache_relatedness", False),
+            cache_size=getattr(args, "cache_size", 0),
+        )
     except ConfigurationError as exc:
         raise SystemExit(f"error: {exc}")
-    return config
 
 
 def _add_snapshot_argument(sub: argparse.ArgumentParser) -> None:
@@ -641,16 +645,14 @@ def cmd_disambiguate(args: argparse.Namespace) -> int:
     obs = _ObsSession(args)
     chaos = _InjectorSession(args)
     try:
-        kb = load_knowledge_base(args.kb)
-        document = _document(_input_text(args), kb)
+        text = _input_text(args)
+        pipeline = _pipeline_spec(args).build()
+        kb = pipeline.kb
+        document = _document(text, kb)
         if not document.mentions:
             print("no entity mentions recognized")
             return 0
-        config = _apply_pipeline_flags(AIDA_VARIANTS[args.variant](), args)
-        aida = make_resilient(
-            AidaDisambiguator(kb, config=config),
-            _robustness_config(args),
-        )
+        aida = make_resilient(pipeline, _robustness_config(args))
         result = aida.disambiguate(document)
         for assignment in result.assignments:
             target = (
@@ -753,187 +755,29 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     return 0
 
 
-class _PipelineFactory:
-    """Picklable pipeline builder for process-pool evaluation.
-
-    Each worker process loads its own KB copy (processes cannot share the
-    in-memory relatedness cache).  For the LSH backends the parent passes
-    its precomputed stage-one entity *sketches*: they are built once
-    before the pool spins up and shipped read-only to every worker, which
-    then skips the KB-wide sketching pass.
-    """
-
-    def __init__(
-        self,
-        kb_dir: str,
-        variant: str,
-        use_compiled: bool = True,
-        relatedness_backend: str = "mw",
-        sketches=None,
-        similarity_backend: str = "keyphrase",
-        prerank_topk: Optional[int] = None,
-    ):
-        self.kb_dir = kb_dir
-        self.variant = variant
-        self.use_compiled = use_compiled
-        self.relatedness_backend = relatedness_backend
-        self.sketches = sketches
-        self.similarity_backend = similarity_backend
-        self.prerank_topk = prerank_topk
-
-    @property
-    def source_description(self) -> str:
-        """Shown in serving ``/stats`` as the worker pipeline source."""
-        return f"kb:{self.kb_dir}"
-
-    def __call__(self) -> AidaDisambiguator:
-        kb = load_knowledge_base(self.kb_dir)
-        config = AIDA_VARIANTS[self.variant]()
-        config.use_compiled = self.use_compiled
-        config.relatedness_backend = self.relatedness_backend
-        config.similarity_backend = self.similarity_backend
-        config.prerank_topk = self.prerank_topk
-        config.validate()
-        relatedness = None
-        if self.sketches is not None:
-            relatedness = AidaDisambiguator.build_relatedness(
-                kb, config, sketches=self.sketches
-            )
-        return AidaDisambiguator(
-            kb, relatedness=relatedness, config=config
-        )
-
-
-def _lsh_measure(measure):
-    """The LSH measure inside a (possibly wrapped) chain, or None."""
-    while measure is not None:
-        if hasattr(measure, "export_sketches"):
-            return measure
-        measure = getattr(measure, "inner", None)
-    return None
-
-
-def _cached_sketches_for(kb_dir: str, config: AidaConfig):
-    """The cached whole-KB sketch table for this KB + backend, if any.
-
-    A previous serve/evaluate start in this process already paid the
-    KB-wide stage-one pass for the same on-disk KB and LSH geometry;
-    building the parent pipeline over the cached (complete) table makes
-    its own precompute a no-op.
-    """
-    if config.relatedness_backend not in ("kore_lsh_g", "kore_lsh_f"):
-        return None
-    from repro.kb.io import KnowledgeBaseError, kb_fingerprint
-    from repro.relatedness.lsh import LshSettings, cached_sketch_export
-
-    settings = (
-        LshSettings.recall_geared()
-        if config.relatedness_backend == "kore_lsh_g"
-        else LshSettings.fast()
-    )
-    try:
-        fingerprint = kb_fingerprint(kb_dir)
-    except KnowledgeBaseError:
-        return None
-    return cached_sketch_export(fingerprint, settings)
-
-
-def _shared_sketches(kb_dir: str, pipeline: AidaDisambiguator):
-    """The sketch table to ship to process workers, cached process-wide.
-
-    Keyed by (KB fingerprint, LSH geometry): the first start pays one
-    export, later starts and worker respawns against the same on-disk KB
-    reuse it, and the table's ``complete`` marker lets every worker skip
-    its own KB-wide sketching pass.
-    """
-    lsh = _lsh_measure(pipeline.relatedness)
-    if lsh is None:
-        return None
-    from repro.kb.io import KnowledgeBaseError, kb_fingerprint
-    from repro.relatedness.lsh import (
-        cached_sketch_export,
-        store_sketch_export,
-    )
-
-    try:
-        fingerprint = kb_fingerprint(kb_dir)
-    except KnowledgeBaseError:
-        return lsh.export_sketches()
-    cached = cached_sketch_export(fingerprint, lsh.settings)
-    if cached is not None:
-        return cached
-    return store_sketch_export(
-        fingerprint, lsh.settings, lsh.export_sketches()
-    )
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """Handle ``evaluate``: score a pipeline on a saved corpus."""
     from repro.core.batch import BatchConfig, BatchRunner
     from repro.datagen.io import load_corpus
     from repro.eval.runner import run_disambiguator
     from repro.faults import ResilientFactory
-    from repro.relatedness.caching import CachingRelatedness
 
     obs = _ObsSession(args)
     chaos = _InjectorSession(args)
+    # The cache summary sums the relatedness.cache.* counters of every
+    # cache that did the work, process workers' included: needs metrics.
+    own_metrics = None
+    if args.cache_relatedness and not get_metrics().enabled:
+        own_metrics = set_metrics(MetricsRegistry())
     try:
-        if not args.kb and not args.snapshot:
-            raise SystemExit("evaluate requires --kb or --snapshot")
         documents = load_corpus(args.corpus)
-        config = _apply_pipeline_flags(AIDA_VARIANTS[args.variant](), args)
+        spec = _pipeline_spec(args)
         robustness = _robustness_config(args)
-        relatedness = None
-        if args.snapshot:
-            from repro.kb.snapshot import (
-                SnapshotPipelineFactory,
-                load_snapshot,
-            )
-
-            if args.cache_relatedness:
-                raise SystemExit(
-                    "--cache-relatedness is not supported with --snapshot"
-                )
-            snapshot = load_snapshot(args.snapshot)
-            kb = snapshot.kb
-            pipeline = snapshot.pipeline(config)
-        else:
-            kb = load_knowledge_base(args.kb)
-            cached = _cached_sketches_for(args.kb, config)
-            if args.cache_relatedness:
-                relatedness = CachingRelatedness(
-                    AidaDisambiguator.build_relatedness(
-                        kb, config, sketches=cached
-                    ),
-                    maxsize=args.cache_size or None,
-                )
-            elif cached is not None:
-                relatedness = AidaDisambiguator.build_relatedness(
-                    kb, config, sketches=cached
-                )
-            pipeline = AidaDisambiguator(
-                kb, relatedness=relatedness, config=config
-            )
+        pipeline = spec.build()
         batch = None
         if args.workers > 1 and args.executor == "process":
-            if args.snapshot:
-                factory = SnapshotPipelineFactory(
-                    args.snapshot, config=config
-                )
-            else:
-                factory = _PipelineFactory(
-                    args.kb,
-                    args.variant,
-                    use_compiled=args.compiled,
-                    relatedness_backend=args.relatedness,
-                    sketches=_shared_sketches(args.kb, pipeline),
-                    similarity_backend=args.similarity_backend,
-                    prerank_topk=args.prerank_topk,
-                )
-            if robustness is not None:
-                factory = ResilientFactory(factory, robustness)
             batch = BatchRunner(
-                pipeline_factory=factory,
+                pipeline_factory=ResilientFactory(spec, robustness),
                 config=BatchConfig(
                     workers=args.workers, executor="process"
                 ),
@@ -941,7 +785,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         run = run_disambiguator(
             pipeline,
             documents,
-            kb=kb,
+            kb=pipeline.kb,
             workers=args.workers,
             batch=batch,
             robustness=robustness,
@@ -964,16 +808,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         print(f"micro accuracy: {100 * run.micro:.2f}%")
         print(f"macro accuracy: {100 * run.macro:.2f}%")
         print(f"MAP:            {100 * run.map:.2f}%")
-        if args.cache_relatedness and relatedness is not None:
-            stats = relatedness.cache_stats()
+        if args.cache_relatedness:
+            counters = get_metrics().snapshot()["counters"]
+            hits, misses, evictions = (
+                counters.get(f"relatedness.cache.{key}", 0)
+                for key in ("hits", "misses", "evictions")
+            )
             print(
                 "relatedness cache: "
-                f"{stats.hits} hits, {stats.misses} misses, "
-                f"{stats.evictions} evictions "
-                f"({100 * stats.hit_rate:.1f}% hit rate)"
+                f"{hits} hits, {misses} misses, {evictions} evictions "
+                f"({100 * hits / max(hits + misses, 1):.1f}% hit rate)"
             )
         return 0
     finally:
+        if own_metrics is not None:
+            set_metrics(own_metrics)
         chaos.finish()
         obs.finish()
 
@@ -1015,8 +864,12 @@ async def _serve_forever(server) -> int:
         f"(POST /disambiguate, GET /healthz /stats /metrics)",
         flush=True,
     )
+    # Like Ctrl-C, SIGTERM runs stop(): the pool is shut, not orphaned.
+    terminated = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    loop.add_signal_handler(signal.SIGTERM, terminated.set)
     try:
-        await asyncio.Event().wait()
+        await terminated.wait()
     finally:
         await server.stop()
     return 0
@@ -1038,49 +891,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.trace_export and not get_tracer().enabled:
         own_tracer = set_tracer(Tracer())
     try:
-        if not args.kb and not args.snapshot:
-            raise SystemExit("serve requires --kb or --snapshot")
-        config = _apply_pipeline_flags(AIDA_VARIANTS[args.variant](), args)
-        factory = None
-        if args.snapshot:
-            from repro.kb.snapshot import (
-                SnapshotPipelineFactory,
-                load_snapshot,
-            )
-
-            snapshot = load_snapshot(args.snapshot)
-            kb = snapshot.kb
-            pipeline = snapshot.pipeline(config)
-            if args.executor == "process":
-                factory = SnapshotPipelineFactory(
-                    args.snapshot, config=config
-                )
-        else:
-            kb = load_knowledge_base(args.kb)
-            cached = _cached_sketches_for(args.kb, config)
-            relatedness = (
-                AidaDisambiguator.build_relatedness(
-                    kb, config, sketches=cached
-                )
-                if cached is not None
-                else None
-            )
-            pipeline = AidaDisambiguator(
-                kb, relatedness=relatedness, config=config
-            )
-            if args.executor == "process":
-                factory = _PipelineFactory(
-                    args.kb,
-                    args.variant,
-                    use_compiled=args.compiled,
-                    relatedness_backend=args.relatedness,
-                    sketches=_shared_sketches(args.kb, pipeline),
-                    similarity_backend=args.similarity_backend,
-                    prerank_topk=args.prerank_topk,
-                )
         server = DisambiguationServer(
-            pipeline,
-            ServingConfig(
+            config=ServingConfig(
                 host=args.host,
                 port=args.port,
                 max_queue=args.max_queue,
@@ -1093,9 +905,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 trace_export=args.trace_export,
                 slo_objective=args.slo_objective,
             ),
-            kb=kb,
             robustness=_serving_robustness(args),
-            pipeline_factory=factory,
+            pipeline_factory=_pipeline_spec(args),
         )
         runner = _serve_stdin(server) if args.stdin else _serve_forever(
             server

@@ -13,6 +13,7 @@ from repro.core.batch import (
     BatchRunner,
     DocumentFailure,
 )
+from repro.core.spec import PipelineSpec
 
 __all__ = [
     "AidaConfig",
@@ -23,6 +24,7 @@ __all__ = [
     "BatchOutcome",
     "BatchRunner",
     "DocumentFailure",
+    "PipelineSpec",
     "passes_prior_test",
     "coherence_robustness_distance",
 ]

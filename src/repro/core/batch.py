@@ -31,14 +31,15 @@ Pipeline sharing rules:
   closes over whatever should be shared (the KB, a caching relatedness
   wrapper, a precomputed sketch table).
 * ``executor="process"`` requires a *picklable* ``pipeline_factory``
-  (a module-level callable); each worker process builds its pipeline
-  once in the pool initializer.  Processes cannot share a relatedness
-  cache.
+  (a module-level callable or a :class:`~repro.core.spec.PipelineSpec`);
+  each worker process builds its pipeline once in the pool initializer.
+  Processes cannot share a relatedness cache.
 """
 
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import threading
 import time
 import traceback
@@ -49,6 +50,8 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
@@ -74,6 +77,8 @@ _LOG = logging.getLogger("repro.batch")
 PipelineFactory = Callable[[], object]
 
 _EXECUTORS = ("serial", "thread", "process")
+
+_SPAWN = multiprocessing.get_context("spawn")
 
 
 class BatchError(ReproError):
@@ -331,6 +336,7 @@ class BatchRunner:
         self._pipeline = pipeline
         self._factory = pipeline_factory
         self._thread_local = threading.local()
+        self._pool: Optional[ProcessPoolExecutor] = None
 
     # ------------------------------------------------------------------
     # Worker-side pipeline resolution
@@ -379,6 +385,35 @@ class BatchRunner:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
+    def open(self) -> "BatchRunner":
+        """Keep one pool, until :meth:`close`, for every later run (runs
+        must not overlap), so each worker builds its pipeline once.
+        Workers are spawned: forked ones would hold every descriptor the
+        parent had open (a server's client sockets) for the pool's life."""
+        if self.config.executor != "process":
+            raise BatchError("only the process executor keeps a pool open")
+        if self._pool is None:
+            self._pool = self._process_pool(_SPAWN)
+        return self
+
+    def close(self) -> None:
+        """Shut down the pool :meth:`open` started, if any."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+
+    def _process_pool(self, mp_context=None) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.config.workers,
+            mp_context=mp_context,
+            initializer=_process_init,
+            initargs=(
+                self._factory,
+                get_metrics().enabled,
+                get_tracer().enabled,
+            ),
+        )
+
     def run(
         self,
         documents: Sequence[Document],
@@ -398,6 +433,11 @@ class BatchRunner:
         def context_for(index: int) -> Optional[TraceContext]:
             return contexts[index] if contexts is not None else None
 
+        def submit_process(pool, index: int, document: Document):
+            return pool.submit(
+                _process_task, index, document, context_for(index)
+            )
+
         with get_tracer().span(
             "batch.run",
             category="batch",
@@ -406,24 +446,25 @@ class BatchRunner:
             workers=self.config.effective_workers,
         ):
             if documents:
-                if self.config.effective_workers <= 1:
+                if self._pool is not None:
+                    try:
+                        self._run_pool(
+                            documents, outcome, self._pool, submit_process
+                        )
+                    except BrokenProcessPool:
+                        # A dead worker breaks the whole pool; the next
+                        # run gets a fresh one instead of failing too.
+                        self._pool.shutdown(wait=False)
+                        self._pool = self._process_pool(_SPAWN)
+                        raise
+                elif self.config.effective_workers <= 1:
                     self._run_serial(documents, outcome, context_for)
                 elif self.config.executor == "process":
                     self._run_pool(
                         documents,
                         outcome,
-                        ProcessPoolExecutor(
-                            max_workers=self.config.workers,
-                            initializer=_process_init,
-                            initargs=(
-                                self._factory,
-                                get_metrics().enabled,
-                                get_tracer().enabled,
-                            ),
-                        ),
-                        submit=lambda pool, index, doc: pool.submit(
-                            _process_task, index, doc, context_for(index)
-                        ),
+                        self._process_pool(),
+                        submit_process,
                     )
                 else:
                     self._run_pool(
@@ -507,7 +548,8 @@ class BatchRunner:
         window = self.config.max_pending or len(documents)
         metrics = get_metrics()
         queue_depth = metrics.gauge("batch.queue_depth")
-        with pool:
+        # An open() pool outlives the run; any other pool ends with it.
+        with pool if pool is not self._pool else nullcontext():
             pending: Set[Future] = set()
             queue = iter(enumerate(documents))
             exhausted = False

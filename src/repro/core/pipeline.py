@@ -152,6 +152,19 @@ class AidaDisambiguator:
         #: :meth:`disambiguate` call.
         self.last_stats: Optional[PipelineStats] = None
 
+    def with_config(self, config: AidaConfig) -> "AidaDisambiguator":
+        """This pipeline under another configuration (a degradation rung),
+        sharing every model: nothing is rebuilt or retrained."""
+        return type(self)(
+            self.kb,
+            relatedness=self.relatedness,
+            config=config,
+            keyphrase_store=self.store,
+            weight_model=self.weights,
+            compiled_keyphrases=self.compiled,
+            embedding_model=self.embeddings,
+        )
+
     def _build_compiled(self, max_keyphrases: Optional[int]):
         """Build the compiled keyphrase layer, or None on any failure."""
         try:
@@ -182,10 +195,10 @@ class AidaDisambiguator:
     ) -> EntityRelatedness:
         """The coherence measure ``config.relatedness_backend`` names.
 
-        Shared by the pipeline constructor and the CLI (including the
-        picklable process-pool factory, which passes the parent's
-        precomputed *sketches* so workers skip the KB-wide stage-one
-        pass).  For the ``embedding`` backend a passed *embeddings*
+        Shared by the pipeline constructor and
+        :func:`repro.core.spec.assemble_pipeline`, which passes a
+        precomputed *sketches* table so a build skips the KB-wide
+        stage-one pass.  For the ``embedding`` backend a passed *embeddings*
         model wins; otherwise one is trained from the KB.
         """
         backend = config.relatedness_backend

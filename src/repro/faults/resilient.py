@@ -16,11 +16,10 @@ unreliable features per mention.  The ladder, in order:
    coherence, nothing but a dictionary lookup per mention.
 
 :class:`ResilientDisambiguator` wraps any ``AidaDisambiguator``-shaped
-pipeline (duck-typed: ``kb``/``config``/``store``/``weights`` attributes
-enable the ladder; anything else still gets retry + deadline with a
-single rung).  Every result records the rung that produced it and the
-total number of attempts on
-``DisambiguationResult.degradation_rung``/``.attempts``.
+pipeline (duck-typed: ``config`` plus ``with_config`` enable the ladder;
+anything else still gets retry + deadline with a single rung).  Every
+result records the rung that produced it and the total number of
+attempts on ``DisambiguationResult.degradation_rung``/``.attempts``.
 
 Per attempt, a fresh :class:`~repro.faults.deadline.Budget` is armed: the
 soft deadline bounds each *attempt*, so a degraded rung gets its own time
@@ -118,9 +117,8 @@ class ResilientDisambiguator:
         self._base = pipeline
         self.robustness = robustness
         self._rungs: dict = {"full": pipeline}
-        self._can_degrade = robustness.degrade and all(
-            hasattr(pipeline, attr)
-            for attr in ("kb", "config", "store", "weights")
+        self._can_degrade = robustness.degrade and hasattr(
+            pipeline, "with_config"
         )
 
     # ------------------------------------------------------------------
@@ -132,19 +130,13 @@ class ResilientDisambiguator:
         return DEGRADATION_LADDER if self._can_degrade else ("full",)
 
     def pipeline_for(self, rung: str):
-        """The (lazily built) pipeline of a rung; rungs share the KB,
-        keyphrase store, weight model, relatedness measure, and compiled
-        keyphrase models of the wrapped pipeline — only the
-        configuration differs."""
+        """The (lazily built) pipeline of a rung: the wrapped pipeline's
+        ``with_config`` under the rung's configuration, sharing every
+        model of the wrapped pipeline."""
         pipeline = self._rungs.get(rung)
         if pipeline is None:
-            pipeline = type(self._base)(
-                self._base.kb,
-                relatedness=self._base.relatedness,
-                config=degrade_config(self._base.config, rung),
-                keyphrase_store=self._base.store,
-                weight_model=self._base.weights,
-                compiled_keyphrases=getattr(self._base, "compiled", None),
+            pipeline = self._base.with_config(
+                degrade_config(self._base.config, rung)
             )
             self._rungs[rung] = pipeline
         return pipeline

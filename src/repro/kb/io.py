@@ -223,7 +223,6 @@ def kb_fingerprint(directory: str) -> str:
 from repro.kb.snapshot import (  # noqa: E402  (deliberate re-export)
     Snapshot,
     SnapshotError,
-    SnapshotPipelineFactory,
     build_snapshot,
     inspect_snapshot,
     load_snapshot,

@@ -1953,13 +1953,9 @@ class Snapshot:
             ),
         )
 
-    def pipeline(self, config=None):
-        """Assemble an :class:`AidaDisambiguator` over snapshot facades."""
-        from repro.core.config import AidaConfig
-        from repro.core.pipeline import AidaDisambiguator
-
-        if config is None:
-            config = AidaConfig.full()
+    def pipeline_parts(self, config) -> Dict[str, Any]:
+        """:func:`repro.core.spec.assemble_pipeline` keyword arguments:
+        this image's models for a pipeline serving *config*."""
         compiled = None
         if config.use_compiled:
             compiled = self.compiled
@@ -1989,22 +1985,22 @@ class Snapshot:
         embedding_model = None
         if config.needs_embeddings and self.has_embeddings:
             embedding_model = self.embeddings
-        relatedness = AidaDisambiguator.build_relatedness(
-            self.kb,
-            config,
-            store=self.store,
-            weights=self.weights,
-            sketches=sketches,
-            embeddings=embedding_model,
-        )
-        return AidaDisambiguator(
-            self.kb,
-            relatedness=relatedness,
-            config=config,
-            keyphrase_store=self.store,
-            weight_model=self.weights,
-            compiled_keyphrases=compiled,
-            embedding_model=embedding_model,
+        return {
+            "keyphrase_store": self.store,
+            "weight_model": self.weights,
+            "compiled_keyphrases": compiled,
+            "embedding_model": embedding_model,
+            "sketches": sketches,
+        }
+
+    def pipeline(self, config=None):
+        """Assemble an :class:`AidaDisambiguator` over snapshot facades."""
+        from repro.core.config import AidaConfig
+        from repro.core.spec import assemble_pipeline
+
+        config = config if config is not None else AidaConfig.full()
+        return assemble_pipeline(
+            self.kb, config, **self.pipeline_parts(config)
         )
 
     def sections(self) -> List[Dict[str, Any]]:
@@ -2013,29 +2009,6 @@ class Snapshot:
 
     def close(self) -> None:
         self._image.close()
-
-
-class SnapshotPipelineFactory:
-    """Picklable factory: workers attach to the snapshot by *path*.
-
-    Unlike the fork/pickle factory, nothing heavy crosses the process
-    boundary — each worker maps the image read-only and shares its pages
-    with every other worker through the OS page cache.
-    """
-
-    def __init__(self, path: str, config=None, verify: bool = True) -> None:
-        self.path = path
-        self.config = config
-        self.verify = verify
-
-    @property
-    def source_description(self) -> str:
-        """Shown in serving ``/stats`` as the worker pipeline source."""
-        return f"snapshot:{self.path}"
-
-    def __call__(self):
-        snapshot = load_snapshot(self.path, verify=self.verify)
-        return snapshot.pipeline(self.config)
 
 
 def load_snapshot(path: str, verify: bool = True) -> Snapshot:

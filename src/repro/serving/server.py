@@ -189,11 +189,13 @@ class DisambiguationServer:
     deadline exist — ``robustness`` overrides the default wrap
     (``degrade=True, deadline_ms=config.slo_ms``).
 
-    ``executor="process"`` additionally needs a *picklable*
-    ``pipeline_factory``: worker processes build their own resilient
-    pipeline, and per-request rungs plus trace ids cross the pickle wall
-    in :class:`TraceContext` baggage.  ``pipeline`` may then be omitted —
-    the factory builds the local introspection instance.
+    ``pipeline_factory`` (typically a
+    :class:`~repro.core.spec.PipelineSpec`, whose ``source`` ``/stats``
+    reports) builds the pipeline when ``pipeline`` is omitted.
+    ``executor="process"`` requires a *picklable* factory: one pool
+    lives from :meth:`start` to :meth:`stop`, each worker builds its
+    resilient pipeline once, and per-request rungs plus trace ids cross
+    the pickle wall in :class:`TraceContext` baggage.
     """
 
     def __init__(
@@ -219,22 +221,23 @@ class DisambiguationServer:
         if not hasattr(pipeline, "ladder"):
             pipeline = make_resilient(pipeline, robustness)
         self.pipeline = pipeline
-        self._process_factory = None
+        self._pool_runner: Optional[BatchRunner] = None
         if self.config.executor == "process":
             if pipeline_factory is None:
                 raise ConfigurationError(
                     "executor='process' requires a picklable "
                     "pipeline_factory"
                 )
-            self._process_factory = _BaggageRungFactory(
-                ResilientFactory(pipeline_factory, robustness)
+            self._pool_runner = BatchRunner(
+                pipeline_factory=_BaggageRungFactory(
+                    ResilientFactory(pipeline_factory, robustness)
+                ),
+                config=BatchConfig(
+                    workers=self.config.workers, executor="process"
+                ),
             )
-        #: Where worker pipelines come from — "memory" (models pickled /
-        #: re-built per worker) or the snapshot image workers mmap by
-        #: path; factories advertise it via ``source_description``.
-        self.pipeline_source = getattr(
-            pipeline_factory, "source_description", "memory"
-        )
+        #: The factory's ``source``, or "memory" for a ready-built one.
+        self.pipeline_source = getattr(pipeline_factory, "source", "memory")
         self.kb = kb if kb is not None else getattr(pipeline, "kb", None)
         self.recognizer = (
             NamedEntityRecognizer(self.kb.dictionary)
@@ -304,6 +307,8 @@ class DisambiguationServer:
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serving-batch"
         )
+        if self._pool_runner is not None:
+            self._pool_runner.open()
         self._batcher = MicroBatcher(
             self._flush,
             max_batch=self.config.batch_max_docs,
@@ -335,6 +340,8 @@ class DisambiguationServer:
             await self._batcher.close()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
+        if self._pool_runner is not None:
+            self._pool_runner.close()
         if self._trace_sink is not None:
             self._trace_sink.close()
         self._started = False
@@ -552,19 +559,15 @@ class DisambiguationServer:
         """Runs on the dedicated executor thread."""
         documents = [request.document for request in batch]
         contexts = [request.context for request in batch]
+        if self._pool_runner is not None:
+            return self._pool_runner.run(documents, contexts=contexts)
         config = BatchConfig(
             workers=min(self.config.workers, len(documents)),
             executor=self.config.executor,
         )
-        if self.config.executor == "process":
-            runner = BatchRunner(
-                pipeline_factory=self._process_factory, config=config
-            )
-        else:
-            runner = BatchRunner(
-                pipeline=_BaggageRungPipeline(self.pipeline),
-                config=config,
-            )
+        runner = BatchRunner(
+            pipeline=_BaggageRungPipeline(self.pipeline), config=config
+        )
         return runner.run(documents, contexts=contexts)
 
     async def _flush(self, batch: List[ServingRequest]) -> None:

@@ -9,8 +9,10 @@ evaluation path lives in ``tests/test_differential_batch.py``.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -119,6 +121,30 @@ def _make_stats_for_process():
 
 def _make_metered_for_process():
     return MeteredPipeline()
+
+
+class PidPipeline(EchoPipeline):
+    """Scores each document with the pid that ran it; ``doc-die`` kills
+    its worker process outright."""
+
+    def disambiguate(self, document: Document) -> DisambiguationResult:
+        if document.doc_id == "doc-die":
+            os._exit(1)
+        result = _result_for(document)
+        result.assignments[0].score = float(os.getpid())
+        return result
+
+
+class LoggedPidFactory:
+    """Picklable factory logging the pid of every pipeline it builds."""
+
+    def __init__(self, log_path: str):
+        self.log_path = log_path
+
+    def __call__(self) -> PidPipeline:
+        with open(self.log_path, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return PidPipeline()
 
 
 class TestBatchConfig:
@@ -356,3 +382,62 @@ class TestProcessExecutor:
         assert [f.doc_id for f in outcome.failures] == ["doc-2"]
         assert outcome.results[2] is None
         assert len(outcome.successes) == 3
+
+
+class TestOpenPool:
+    def _runner(self, tmp_path) -> BatchRunner:
+        return BatchRunner(
+            pipeline_factory=LoggedPidFactory(str(tmp_path / "builds")),
+            config=BatchConfig(workers=2, executor="process"),
+        )
+
+    def _builds(self, tmp_path):
+        log = (tmp_path / "builds").read_text()
+        return [int(pid) for pid in log.split()]
+
+    def test_one_pool_serves_every_run(self, tmp_path):
+        """Runs of any size — single documents included — go to the one
+        open pool, whose workers each build their pipeline once."""
+        runner = self._runner(tmp_path).open()
+        try:
+            ran_in = set()
+            for size in (1, 3, 1, 2, 4, 1):
+                documents = [_doc(i) for i in range(size)]
+                outcome = runner.run(documents)
+                assert outcome.ok
+                assert [r.doc_id for r in outcome.results] == [
+                    d.doc_id for d in documents
+                ]
+                ran_in |= {
+                    int(r.assignments[0].score) for r in outcome.results
+                }
+        finally:
+            runner.close()
+        builds = self._builds(tmp_path)
+        assert os.getpid() not in builds
+        assert os.getpid() not in ran_in
+        assert len(builds) == len(set(builds)) <= 2
+        assert ran_in <= set(builds)
+
+    def test_dead_worker_does_not_poison_later_runs(self, tmp_path):
+        runner = self._runner(tmp_path).open()
+        try:
+            with pytest.raises(BrokenProcessPool):
+                runner.run(
+                    [Document(doc_id="doc-die", tokens=("tok", "x"))]
+                )
+            outcome = runner.run([_doc(0), _doc(1)])
+            assert outcome.ok
+        finally:
+            runner.close()
+
+    def test_only_process_runners_open_a_pool(self):
+        runner = BatchRunner(
+            pipeline=EchoPipeline(),
+            config=BatchConfig(workers=2, executor="thread"),
+        )
+        with pytest.raises(BatchError):
+            runner.open()
+
+    def test_close_without_open_is_a_no_op(self, tmp_path):
+        self._runner(tmp_path).close()

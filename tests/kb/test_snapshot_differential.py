@@ -19,16 +19,13 @@ import pytest
 from repro.core.batch import BatchConfig, BatchRunner
 from repro.core.config import AidaConfig
 from repro.core.pipeline import AidaDisambiguator
+from repro.core.spec import PipelineSpec
 from repro.datagen.documents import DocumentGenerator, DocumentSpec
 from repro.datagen.io import load_corpus
 from repro.datagen.wikipedia import build_world_kb
 from repro.datagen.world import World, WorldConfig
 from repro.eval.runner import run_disambiguator
-from repro.kb.snapshot import (
-    SnapshotPipelineFactory,
-    build_snapshot,
-    load_snapshot,
-)
+from repro.kb.snapshot import build_snapshot, load_snapshot
 
 BASE_SEED = int(os.environ.get("SNAPSHOT_DIFF_BASE_SEED", "3100"))
 WORLD_SEEDS = [BASE_SEED + i for i in range(20)]
@@ -184,7 +181,7 @@ def test_snapshot_golden_corpus_executor_grid(
         )
     else:
         runner = BatchRunner(
-            pipeline_factory=SnapshotPipelineFactory(path, config=config),
+            pipeline_factory=PipelineSpec(config, snapshot=path),
             config=BatchConfig(workers=2, executor="process"),
         )
         run = run_disambiguator(

@@ -2,32 +2,31 @@
 
 The latent pickle-wall asymmetry: every process-executor start used to
 re-export the LSH sketch table (and every worker re-ran the KB-wide
-stage-one pass) even when the on-disk KB had not changed.  The export is
-now cached process-wide by (KB fingerprint, LSH geometry) and marked
-``complete``, which short-circuits :meth:`KoreLshRelatedness.precompute`
-— asserted here via the ``relatedness.lsh.precompute_ms`` /
-``relatedness.lsh.prepare_ms`` metric counts, which must not grow on the
-second start or worker spawn.
+stage-one pass) even when the on-disk KB had not changed.  A
+:class:`~repro.core.spec.PipelineSpec` build over a KB directory now
+caches the export process-wide by (KB fingerprint, LSH geometry), marked
+``complete``, which short-circuits :meth:`KoreLshRelatedness.precompute`;
+a pickled spec carries the table to its workers.  Asserted here via the
+``relatedness.lsh.precompute_ms`` / ``relatedness.lsh.prepare_ms``
+metric counts, which must not grow on the second start or worker spawn.
 """
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
-from repro.cli import (
-    _cached_sketches_for,
-    _lsh_measure,
-    _PipelineFactory,
-    _shared_sketches,
-)
 from repro.core.config import AidaConfig
-from repro.core.pipeline import AidaDisambiguator
-from repro.kb.io import load_knowledge_base, save_knowledge_base
+from repro.core.spec import PipelineSpec
+from repro.kb.io import kb_fingerprint, save_knowledge_base
 from repro.obs import MetricsRegistry, get_metrics, set_metrics
+from repro.relatedness.caching import CachingRelatedness
 from repro.relatedness.lsh import (
     CompleteSketches,
     KoreLshRelatedness,
     LshSettings,
+    cached_sketch_export,
     clear_sketch_export_cache,
 )
 
@@ -48,10 +47,18 @@ def metrics():
     clear_sketch_export_cache()
 
 
-def _config() -> AidaConfig:
+def _spec(kb_dir: str, cache_relatedness: bool = False) -> PipelineSpec:
     config = AidaConfig.full()
     config.relatedness_backend = "kore_lsh_g"
-    return config
+    return PipelineSpec(
+        config, kb_dir=kb_dir, cache_relatedness=cache_relatedness
+    )
+
+
+def _cached_export(kb_dir: str):
+    return cached_sketch_export(
+        kb_fingerprint(kb_dir), LshSettings.recall_geared()
+    )
 
 
 def _lsh_counts(metrics):
@@ -73,59 +80,57 @@ def _lsh_counts(metrics):
 def test_second_start_reuses_the_cached_export(kb_dir, metrics):
     """Start #1 sketches the KB and publishes the export; start #2 finds
     it by fingerprint and does zero stage-one work."""
-    kb = load_knowledge_base(kb_dir)
-    assert _cached_sketches_for(kb_dir, _config()) is None
+    spec = _spec(kb_dir)
+    assert _cached_export(kb_dir) is None
 
     # -- first serve/evaluate start: pays the pass, caches the export.
-    first = AidaDisambiguator(kb, config=_config())
-    exported = _shared_sketches(kb_dir, first)
+    spec.build()
+    exported = _cached_export(kb_dir)
     assert isinstance(exported, CompleteSketches)
     after_first = _lsh_counts(metrics)
     assert after_first["precompute"] >= 1
     assert after_first["sketched"] > 0
 
     # -- second start: the cache hit feeds the parent pipeline...
-    cached = _cached_sketches_for(kb_dir, _config())
-    assert cached is exported
-    kb2 = load_knowledge_base(kb_dir)
-    second = AidaDisambiguator(
-        kb2,
-        relatedness=AidaDisambiguator.build_relatedness(
-            kb2, _config(), sketches=cached
-        ),
-        config=_config(),
-    )
-    # ...and its export is the same object, not a re-export.
-    assert _shared_sketches(kb_dir, second) is exported
+    spec.build()
+    # ...and the export is the same object, not a re-export.
+    assert _cached_export(kb_dir) is exported
     after_second = _lsh_counts(metrics)
     assert after_second["precompute"] == after_first["precompute"]
     assert after_second["sketched"] == after_first["sketched"]
     assert after_second["prepare"] == after_first["prepare"]
 
 
+def test_cache_wrapped_start_publishes_the_export(kb_dir, metrics):
+    """The export is found under a relatedness cache wrapper too."""
+    pipeline = _spec(kb_dir, cache_relatedness=True).build()
+    assert isinstance(pipeline.relatedness, CachingRelatedness)
+    assert isinstance(_cached_export(kb_dir), CompleteSketches)
+    baseline = _lsh_counts(metrics)
+    _spec(kb_dir, cache_relatedness=True).build()
+    assert _lsh_counts(metrics) == baseline
+
+
 def test_worker_spawn_with_complete_sketches_skips_the_pass(
-    kb_dir, metrics
+    kb_dir, kb, metrics
 ):
-    """A worker built from the cached export (what crosses the pickle
-    wall) runs zero stage-one work — no precompute observation, no
-    prepare, no sketches computed."""
-    kb = load_knowledge_base(kb_dir)
-    parent = AidaDisambiguator(kb, config=_config())
-    shared = _shared_sketches(kb_dir, parent)
+    """A worker built from the pickled spec runs zero stage-one work — no
+    precompute observation, no prepare, no sketches computed — even in a
+    fresh process whose own export cache is empty (spawn, not fork)."""
+    spec = _spec(kb_dir)
+    spec.build()  # the parent start
+    shipped = pickle.dumps(spec)  # what crosses the pickle wall
     baseline = _lsh_counts(metrics)
 
-    factory = _PipelineFactory(
-        kb_dir,
-        "full",
-        relatedness_backend="kore_lsh_g",
-        sketches=shared,
-    )
-    worker = factory()  # what each pool process runs at spawn
+    clear_sketch_export_cache()  # a spawned worker starts with none
+    worker_spec = pickle.loads(shipped)
+    assert worker_spec == spec
+    worker = worker_spec.build()  # what each pool process runs at spawn
     after_spawn = _lsh_counts(metrics)
     assert after_spawn == baseline, "worker spawn recomputed sketches"
 
-    lsh = _lsh_measure(worker.relatedness)
-    assert lsh is not None
+    lsh = worker.relatedness
+    assert isinstance(lsh, KoreLshRelatedness)
     assert lsh.precompute() == 0  # complete table: guaranteed no-op
 
     # The worker still *works*: sketches resolve through the shared
