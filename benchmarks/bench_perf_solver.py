@@ -31,6 +31,7 @@ from typing import Dict, List, Tuple
 from repro.graph.dense_subgraph import (
     DenseSubgraphConfig,
     GreedyDenseSubgraph,
+    SolverStats,
 )
 from repro.graph.synthetic import SyntheticGraphSpec, synthetic_graph
 
@@ -75,12 +76,13 @@ def _time_solve(
     for _round in range(repeats):
         graph = synthetic_graph(_spec(mentions, candidates))
         solver = GreedyDenseSubgraph(_config(candidates, exact_reference))
+        solver_stats = SolverStats()
         start = time.perf_counter()
-        assignment = solver.solve(graph)
+        assignment = solver.solve(graph, solver_stats)
         elapsed = time.perf_counter() - start
         if elapsed < best:
             best = elapsed
-            stats = solver.last_stats.as_dict()
+            stats = solver_stats.as_dict()
     return best, assignment, stats
 
 

@@ -88,6 +88,7 @@ from repro.relatedness import (
     KoreRelatedness,
     MilneWittenRelatedness,
 )
+from repro.relatedness.lsh import lsh_geometry
 from repro.text.tokenizer import tokenize
 from repro.types import Document
 from repro.weights.model import WeightModel
@@ -208,12 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate.add_argument(
         "--cache-relatedness", action="store_true",
-        help="share a thread-safe relatedness LRU across documents "
+        help="share one relatedness memo across documents and threads "
         "and print its hit/miss statistics",
-    )
-    evaluate.add_argument(
-        "--cache-size", type=int, default=0,
-        help="LRU capacity for --cache-relatedness (0 = unbounded)",
     )
     _add_compiled_argument(evaluate)
     _add_relatedness_argument(evaluate)
@@ -457,7 +454,6 @@ def _pipeline_spec(args: argparse.Namespace) -> PipelineSpec:
             kb_dir=args.kb,
             snapshot=getattr(args, "snapshot", None),
             cache_relatedness=getattr(args, "cache_relatedness", False),
-            cache_size=getattr(args, "cache_size", 0),
         )
     except ConfigurationError as exc:
         raise SystemExit(f"error: {exc}")
@@ -698,13 +694,11 @@ def cmd_relatedness(args: argparse.Namespace) -> int:
         measure = KoreRelatedness(
             kb.keyphrases, weights, compiled=compiled
         )
-        if args.measure != "kore":
-            from repro.relatedness import KoreLshRelatedness, LshSettings
+        geometry = lsh_geometry(args.measure)
+        if geometry is not None:
+            from repro.relatedness import KoreLshRelatedness
 
-            if args.measure == "kore_lsh_g":
-                settings, name = LshSettings.recall_geared(), "KORE_LSH-G"
-            else:
-                settings, name = LshSettings.fast(), "KORE_LSH-F"
+            settings, name = geometry
             measure = KoreLshRelatedness(
                 kb.keyphrases, measure, settings, name=name
             )
@@ -810,13 +804,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         print(f"MAP:            {100 * run.map:.2f}%")
         if args.cache_relatedness:
             counters = get_metrics().snapshot()["counters"]
-            hits, misses, evictions = (
+            hits, misses = (
                 counters.get(f"relatedness.cache.{key}", 0)
-                for key in ("hits", "misses", "evictions")
+                for key in ("hits", "misses")
             )
             print(
-                "relatedness cache: "
-                f"{hits} hits, {misses} misses, {evictions} evictions "
+                f"relatedness cache: {hits} hits, {misses} misses "
                 f"({100 * hits / max(hits + misses, 1):.1f}% hit rate)"
             )
         return 0

@@ -14,8 +14,7 @@ provides the batch layer:
 * Worker pipelines share pairwise relatedness work through a
   :class:`~repro.relatedness.caching.CachingRelatedness` passed to the
   ``pipeline_factory`` closure (thread mode) — see
-  :func:`repro.eval.runner.run_disambiguator` and
-  ``benchmarks/bench_batch.py`` for the canonical wiring.
+  :func:`repro.eval.runner.run_disambiguator` for the canonical wiring.
 
 Pipeline sharing rules:
 

@@ -33,7 +33,7 @@ from repro.core.config import AidaConfig, PriorMode
 from repro.core.robustness import passes_prior_test, should_fix_mention
 from repro.faults.deadline import check_budget
 from repro.faults.injector import get_injector
-from repro.graph.dense_subgraph import GreedyDenseSubgraph
+from repro.graph.dense_subgraph import GreedyDenseSubgraph, SolverStats
 from repro.graph.mention_entity_graph import MentionEntityGraph
 from repro.kb.keyphrases import KeyphraseStore
 from repro.kb.knowledge_base import KnowledgeBase
@@ -148,9 +148,6 @@ class AidaDisambiguator:
         # share the finished read-only sketch table.
         self._precompute_lsh_sketches()
         self._solver = GreedyDenseSubgraph(self.config.graph)
-        #: Per-stage timing and counters of the most recent
-        #: :meth:`disambiguate` call.
-        self.last_stats: Optional[PipelineStats] = None
 
     def with_config(self, config: AidaConfig) -> "AidaDisambiguator":
         """This pipeline under another configuration (a degradation rung),
@@ -214,19 +211,17 @@ class AidaDisambiguator:
             )
             return EmbeddingRelatedness(model)
         from repro.relatedness.kore import KoreRelatedness
-        from repro.relatedness.lsh import KoreLshRelatedness, LshSettings
+        from repro.relatedness.lsh import KoreLshRelatedness, lsh_geometry
 
         store = store if store is not None else kb.keyphrases
         weights = (
             weights if weights is not None else WeightModel(store, kb.links)
         )
         kore = KoreRelatedness(store, weights)
-        if backend == "kore":
+        geometry = lsh_geometry(backend)
+        if geometry is None:
             return kore
-        if backend == "kore_lsh_g":
-            settings, name = LshSettings.recall_geared(), "KORE_LSH-G"
-        else:
-            settings, name = LshSettings.fast(), "KORE_LSH-F"
+        settings, name = geometry
         return KoreLshRelatedness(
             store, kore, settings, name=name, sketches=sketches
         )
@@ -352,13 +347,16 @@ class AidaDisambiguator:
                         entity_edge_factor,
                     )
                 counters["graph_entities"] = graph.entity_count()
+                solver_stats = SolverStats()
                 with stage("solve"):
-                    local_assignment = self._solver.solve(graph)
+                    local_assignment = self._solver.solve(
+                        graph, solver_stats
+                    )
                 assignment = {
                     active[local]: entity_id
                     for local, entity_id in local_assignment.items()
                 }
-                for key, value in self._solver.last_stats.as_dict().items():
+                for key, value in solver_stats.as_dict().items():
                     counters[f"solver_{key}"] = value
             else:
                 with stage("solve"):
@@ -377,7 +375,6 @@ class AidaDisambiguator:
                 )
         self._record_cache_counters(counters)
         stats = PipelineStats.from_stopwatch(watch, counters)
-        self.last_stats = stats
         result.stats = stats
         self._publish_observations(stats, document.doc_id, debug)
         return result

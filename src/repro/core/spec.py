@@ -19,6 +19,7 @@ from repro.relatedness.caching import CachingRelatedness
 from repro.relatedness.lsh import (
     LshSettings,
     cached_sketch_export,
+    lsh_geometry,
     store_sketch_export,
 )
 from repro.weights.model import WeightModel
@@ -40,10 +41,8 @@ class PipelineSpec:
     kb_dir: Optional[str] = None
     #: ... or a snapshot image (``repro snapshot build`` output).
     snapshot: Optional[str] = None
-    #: Share one thread-safe relatedness LRU across documents.
+    #: Share one relatedness memo across documents and threads.
     cache_relatedness: bool = False
-    #: Capacity of that LRU in pairs; 0 = unbounded.
-    cache_size: int = 0
 
     def __post_init__(self) -> None:
         if (self.kb_dir is None) == (self.snapshot is None):
@@ -51,8 +50,6 @@ class PipelineSpec:
                 "a pipeline needs exactly one source: a KB directory or "
                 "a snapshot image"
             )
-        if self.cache_size < 0:
-            raise ConfigurationError("cache_size must be >= 0")
 
     @property
     def source(self) -> str:
@@ -77,10 +74,7 @@ class PipelineSpec:
             kb = load_knowledge_base(self.kb_dir)
             parts = {"sketches": cached_sketch_export(*key) if key else None}
         pipeline = assemble_pipeline(
-            kb,
-            config,
-            cache_size=self.cache_size if self.cache_relatedness else None,
-            **parts,
+            kb, config, cache_relatedness=self.cache_relatedness, **parts
         )
         if key and parts["sketches"] is None:
             chain = pipeline._relatedness_chain()
@@ -93,8 +87,8 @@ class PipelineSpec:
     def _sketch_key(self) -> Optional[Tuple[str, LshSettings]]:
         """The (KB fingerprint, LSH geometry) keying this spec's sketch
         table; None unless a KB directory meets an LSH backend."""
-        backend = self.config.relatedness_backend
-        if self.kb_dir is None or not backend.startswith("kore_lsh_"):
+        geometry = lsh_geometry(self.config.relatedness_backend)
+        if self.kb_dir is None or geometry is None:
             return None
         from repro.kb.io import kb_fingerprint
 
@@ -102,9 +96,7 @@ class PipelineSpec:
             fingerprint = kb_fingerprint(self.kb_dir)
         except KnowledgeBaseError:
             return None
-        if backend == "kore_lsh_g":
-            return fingerprint, LshSettings.recall_geared()
-        return fingerprint, LshSettings.fast()
+        return fingerprint, geometry[0]
 
     def __getstate__(self):
         key = self._sketch_key()
@@ -122,7 +114,7 @@ def assemble_pipeline(
     kb,
     config: AidaConfig,
     *,
-    cache_size: Optional[int] = None,
+    cache_relatedness: bool = False,
     sketches=None,
     keyphrase_store=None,
     weight_model=None,
@@ -131,9 +123,9 @@ def assemble_pipeline(
 ) -> AidaDisambiguator:
     """The assembly both sources share: the relatedness measure over
     *sketches* (an LSH table or None), in a :class:`CachingRelatedness`
-    of ``cache_size`` pairs (0 = unbounded) unless that is None.  Models
-    passed in (a snapshot's facades) are used as given; the rest are
-    built from *kb* as the :class:`AidaDisambiguator` constructor does.
+    when *cache_relatedness* is set.  Models passed in (a snapshot's
+    facades) are used as given; the rest are built from *kb* as the
+    :class:`AidaDisambiguator` constructor does.
     """
     if keyphrase_store is None:
         keyphrase_store = kb.keyphrases
@@ -147,10 +139,8 @@ def assemble_pipeline(
         sketches=sketches,
         embeddings=embedding_model,
     )
-    if cache_size is not None:
-        relatedness = CachingRelatedness(
-            relatedness, maxsize=cache_size or None
-        )
+    if cache_relatedness:
+        relatedness = CachingRelatedness(relatedness)
     return AidaDisambiguator(
         kb,
         relatedness=relatedness,

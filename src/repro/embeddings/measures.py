@@ -79,7 +79,7 @@ class EmbeddingRelatedness(EntityRelatedness):
     """Entity-entity coherence as embedding cosine, clamped to [0, 1].
 
     Task-independent (no ``prepare`` state), so every pair is cacheable
-    by the cross-document LRU; negative cosines clamp to 0 — "unrelated",
+    by the cross-document memo; negative cosines clamp to 0 — "unrelated",
     matching the other measures' floor.
     """
 

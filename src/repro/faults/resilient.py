@@ -110,7 +110,7 @@ class ResilientDisambiguator:
 
     Unknown attributes delegate to the wrapped (full-rung) pipeline, so
     the wrapper is a drop-in anywhere an ``AidaDisambiguator`` is used
-    (the batch layer's cache introspection, ``last_stats`` readers, …).
+    (the batch layer's cache introspection, …).
     """
 
     def __init__(self, pipeline, robustness: RobustnessConfig):

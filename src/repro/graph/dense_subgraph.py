@@ -119,14 +119,20 @@ class GreedyDenseSubgraph:
 
     def __init__(self, config: Optional[DenseSubgraphConfig] = None):
         self.config = config if config is not None else DenseSubgraphConfig()
-        #: Counters of the most recent :meth:`solve` call.
-        self.last_stats = SolverStats()
 
-    def solve(self, graph: MentionEntityGraph) -> Dict[int, EntityId]:
+    def solve(
+        self,
+        graph: MentionEntityGraph,
+        stats: Optional[SolverStats] = None,
+    ) -> Dict[int, EntityId]:
         """Disambiguate: one entity per mention (mentions without any
-        candidate are absent from the result)."""
-        stats = SolverStats()
-        self.last_stats = stats
+        candidate are absent from the result).
+
+        The run's counters are filled into *stats* when the caller passes
+        one.  The solver keeps no per-call state, so threads may share it.
+        """
+        if stats is None:
+            stats = SolverStats()
         if graph.mention_count == 0:
             return {}
         tracer = get_tracer()
@@ -147,7 +153,7 @@ class GreedyDenseSubgraph:
                 graph.canonicalize_degrees()
         stats.best_entities = graph.entity_count()
         with tracer.span("solver.postprocess", category="solver"):
-            assignment = self._postprocess(graph)
+            assignment = self._postprocess(graph, stats)
         self._publish_observations(stats)
         return assignment
 
@@ -324,7 +330,9 @@ class GreedyDenseSubgraph:
     # ------------------------------------------------------------------
     # Phase 3: final one-entity-per-mention selection
     # ------------------------------------------------------------------
-    def _postprocess(self, graph: MentionEntityGraph) -> Dict[int, EntityId]:
+    def _postprocess(
+        self, graph: MentionEntityGraph, stats: SolverStats
+    ) -> Dict[int, EntityId]:
         per_mention: List[Tuple[int, List[EntityId]]] = []
         for index in range(graph.mention_count):
             candidates = graph.candidates_of(index)
@@ -340,10 +348,10 @@ class GreedyDenseSubgraph:
                 feasible = False
                 break
         if feasible:
-            self.last_stats.postprocess = "enumerate"
+            stats.postprocess = "enumerate"
             assignment = self._enumerate(graph, per_mention)
         else:
-            self.last_stats.postprocess = "local_search"
+            stats.postprocess = "local_search"
             assignment = self._local_search(graph, per_mention)
         return assignment
 

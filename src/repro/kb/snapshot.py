@@ -243,15 +243,11 @@ def build_snapshot(
     lsh_settings: Dict[str, Any] = {}
     if gearings:
         from repro.relatedness.kore import KoreRelatedness
-        from repro.relatedness.lsh import KoreLshRelatedness, LshSettings
+        from repro.relatedness.lsh import KoreLshRelatedness, lsh_geometry
 
         kore = KoreRelatedness(store, weights)
         for gearing in gearings:
-            settings = (
-                LshSettings.recall_geared()
-                if gearing == "g"
-                else LshSettings.fast()
-            )
+            settings, _name = lsh_geometry(GEARINGS[gearing])
             lsh = KoreLshRelatedness(store, kore, settings)
             lsh.attach_compiled(compiled)
             lsh.precompute()

@@ -7,8 +7,9 @@
 * :class:`KoreRelatedness` — keyphrase overlap relatedness (Eq. 4.3–4.4).
 * :class:`KoreLshRelatedness` — KORE accelerated by two-stage min-hash/LSH
   pre-clustering (Section 4.4.2), in recall-geared (G) and fast (F) settings.
-* :class:`CachingRelatedness` — thread-safe shared LRU memoization of any
-  measure, for batch/corpus runs (see :mod:`repro.core.batch`).
+* :class:`CachingRelatedness` — one lock-free memo of any measure, shared
+  across the documents and threads of a batch/corpus run (see
+  :mod:`repro.core.batch`).
 """
 
 from repro.relatedness.base import EntityRelatedness

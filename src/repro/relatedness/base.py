@@ -49,7 +49,7 @@ class EntityRelatedness(ABC):
         return True.  Measures whose answer depends on per-task ``prepare``
         state return False for task-dependent values — an LSH-pruned 0.0
         holds only for the candidate set it was pruned against, so a
-        cross-document LRU (:class:`repro.relatedness.caching
+        cross-document memo (:class:`repro.relatedness.caching
         .CachingRelatedness`) must not carry it into the next document.
         The measure's *own* ``_cache`` is exempt: ``prepare`` clears it.
         """

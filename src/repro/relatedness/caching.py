@@ -1,12 +1,12 @@
-"""Shared, thread-safe memoization of entity relatedness.
+"""Shared memoization of entity relatedness.
 
 Every measure already memoizes within one instance (the base-class cache),
 but a corpus run that builds one pipeline per document — or fans documents
 out over a worker pool — recomputes the same Milne–Witten/KORE pairs from
 scratch for every document.  :class:`CachingRelatedness` wraps any
-:class:`~repro.relatedness.base.EntityRelatedness` in a symmetric-key LRU
-that several pipelines (and several threads) can share, with hit/miss/
-eviction counters that the pipeline surfaces through
+:class:`~repro.relatedness.base.EntityRelatedness` in one symmetric-key
+memo that several pipelines (and several threads) can share, with hit and
+miss counters that the pipeline surfaces through
 :class:`~repro.utils.timing.PipelineStats`.
 
 The wrapper is observationally identical to the wrapped measure: values go
@@ -14,24 +14,27 @@ through the same :meth:`~repro.relatedness.base.EntityRelatedness
 .compute_pair` canonicalization/pruning/clamping path, so a cached corpus
 run is bit-identical to an uncached one.
 
-Thread-safety notes: the LRU itself is guarded by a lock; the wrapped
-measure's ``_compute`` runs *outside* the lock, so concurrent first
-requests for the same pair may compute it twice (both arriving at the same
-value — every measure is deterministic).  After warm-up no pair is ever
-recomputed.  Measures with per-task ``prepare`` state (LSH pre-clustering)
-keep that state thread-local and are shareable like the stateless-prepare
-measures (MW, Jaccard, KORE, cosine); values they report as task-dependent
-through :meth:`~repro.relatedness.base.EntityRelatedness.cacheable_pair`
-(LSH-pruned zeros) are answered but never stored, so a pair pruned under
-one document's candidate set cannot leak a stale 0.0 into the next.
+Thread-safety notes: the memo is a plain dict with no bound and no
+recency order; its ``get`` and ``setdefault`` are atomic under the
+interpreter lock, so lookups take no lock.  The wrapped measure computes
+unlocked, so concurrent first requests for a pair may compute it twice
+(the same value — every measure is deterministic); after warm-up no pair
+is recomputed.  Hits and misses are tallied per thread and summed by
+:meth:`CachingRelatedness.cache_stats`, so the counts stay exact.
+Measures with per-task ``prepare`` state (LSH pre-clustering) keep that
+state thread-local and are shareable like the stateless ones (MW,
+Jaccard, KORE, cosine).  Their task-dependent values (LSH-pruned zeros,
+see :meth:`~repro.relatedness.base.EntityRelatedness.cacheable_pair`)
+are answered but never stored, and a stored pair that the current task
+prunes answers 0.0, so no value leaks from one document's candidate set
+into another's.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.obs import get_metrics
 from repro.relatedness.base import EntityRelatedness
@@ -40,7 +43,7 @@ from repro.types import EntityId
 
 @dataclass(frozen=True)
 class CacheStats:
-    """A consistent snapshot of the cache counters.
+    """A snapshot of the cache counters.
 
     ``hits + misses`` equals the number of non-identical-pair lookups;
     ``computations`` is the wrapped measure's comparison counter (it can
@@ -50,9 +53,7 @@ class CacheStats:
 
     hits: int
     misses: int
-    evictions: int
     size: int
-    maxsize: Optional[int]
     computations: int
 
     @property
@@ -70,43 +71,42 @@ class CacheStats:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
             "size": self.size,
-            "maxsize": self.maxsize,
             "computations": self.computations,
             "hit_rate": self.hit_rate,
         }
 
 
+class _Tally:
+    """One thread's hit and miss counts; only that thread writes them."""
+
+    __slots__ = ("hits", "misses")
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+
+
 class CachingRelatedness(EntityRelatedness):
-    """Memoizing, thread-safe LRU wrapper around a relatedness measure.
+    """Memoizing wrapper around a relatedness measure, shareable across
+    documents and threads.
 
     Parameters
     ----------
     inner:
         The measure to memoize.  Its ``prepare``/``should_compare``
         behaviour is delegated unchanged.
-    maxsize:
-        Upper bound on cached pairs; least-recently-used pairs are evicted
-        beyond it.  ``None`` (the default) means unbounded — the right
-        setting for batch runs over a closed candidate universe.
     """
 
-    def __init__(
-        self, inner: EntityRelatedness, maxsize: Optional[int] = None
-    ):
-        if maxsize is not None and maxsize < 1:
-            raise ValueError("maxsize must be None or >= 1")
+    def __init__(self, inner: EntityRelatedness):
         super().__init__()
         self._inner = inner
-        self._maxsize = maxsize
-        self._lru: "OrderedDict[Tuple[EntityId, EntityId], float]" = (
-            OrderedDict()
-        )
+        self._memo: Dict[Tuple[EntityId, EntityId], float] = {}
+        # Per-thread tallies: a thread registers its own once, under the
+        # lock; lookups then touch only that thread's tally.
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        self._local = threading.local()
+        self._tallies: List[_Tally] = []
         # Last values pushed to the global metrics registry (delta base),
         # guarded by its own lock so publishing never blocks lookups.
         self._publish_lock = threading.Lock()
@@ -120,11 +120,6 @@ class CachingRelatedness(EntityRelatedness):
     def inner(self) -> EntityRelatedness:
         """The wrapped measure."""
         return self._inner
-
-    @property
-    def maxsize(self) -> Optional[int]:
-        """The configured LRU capacity (``None`` = unbounded)."""
-        return self._maxsize
 
     def prepare(self, entities: Iterable[EntityId]) -> None:
         self._inner.prepare(entities)
@@ -144,42 +139,43 @@ class CachingRelatedness(EntityRelatedness):
     # The memoized lookup
     # ------------------------------------------------------------------
     def relatedness(self, a: EntityId, b: EntityId) -> float:
-        """Relatedness of the pair, served from the shared LRU."""
+        """Relatedness of the pair, served from the shared memo."""
         if a == b:
             return 1.0
         key = self.canonical_pair(a, b)
-        with self._lock:
-            value = self._lru.get(key)
-            if value is not None:
-                self._lru.move_to_end(key)
-                self._hits += 1
+        try:
+            tally = self._local.tally
+        except AttributeError:
+            tally = self._register()
+        value = self._memo.get(key)
+        if value is not None:
+            tally.hits += 1
+            # A pair the current task prunes (LSH) answers 0.0, as the
+            # wrapped measure does, whatever an earlier task stored.
+            if self._inner.should_compare(key[0], key[1]):
                 return value
-            self._misses += 1
-        # Compute outside the lock: a slow KORE pair must not serialize
-        # every other thread's lookups.
+            return 0.0
+        tally.misses += 1
         value = self._inner.compute_pair(key[0], key[1])
-        if not self._inner.cacheable_pair(key[0], key[1]):
-            # Task-dependent value (an LSH-pruned 0.0): valid for this
-            # lookup but not for a cache shared across documents.
-            return value
-        with self._lock:
-            if key not in self._lru:
-                self._lru[key] = value
-                if (
-                    self._maxsize is not None
-                    and len(self._lru) > self._maxsize
-                ):
-                    self._lru.popitem(last=False)
-                    self._evictions += 1
-            else:
-                self._lru.move_to_end(key)
+        # A task-dependent value (an LSH-pruned 0.0) is valid for this
+        # lookup but not for a memo shared across documents.
+        if self._inner.cacheable_pair(key[0], key[1]):
+            self._memo.setdefault(key, value)
         return value
+
+    def _register(self) -> _Tally:
+        """The calling thread's tally, created and listed on first use."""
+        tally = _Tally()
+        with self._lock:
+            self._tallies.append(tally)
+        self._local.tally = tally
+        return tally
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def cache_stats(self) -> CacheStats:
-        """A consistent snapshot of the counters.
+        """A snapshot of the counters, summed over every thread's tally.
 
         Snapshot points double as the metrics publication points: the
         deltas since the previous snapshot are folded into the global
@@ -188,14 +184,13 @@ class CachingRelatedness(EntityRelatedness):
         path free of any metrics work.
         """
         with self._lock:
-            stats = CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                size=len(self._lru),
-                maxsize=self._maxsize,
-                computations=self._inner.comparisons,
-            )
+            tallies = list(self._tallies)
+        stats = CacheStats(
+            hits=sum(tally.hits for tally in tallies),
+            misses=sum(tally.misses for tally in tallies),
+            size=len(self._memo),
+            computations=self._inner.comparisons,
+        )
         self._publish_metrics(stats)
         return stats
 
@@ -206,7 +201,6 @@ class CachingRelatedness(EntityRelatedness):
         totals = {
             "hits": stats.hits,
             "misses": stats.misses,
-            "evictions": stats.evictions,
             "computations": stats.computations,
         }
         with self._publish_lock:
@@ -218,12 +212,15 @@ class CachingRelatedness(EntityRelatedness):
             metrics.gauge("relatedness.cache.size").set(stats.size)
 
     def reset_stats(self) -> None:
-        """Clear the LRU, the counters, and the wrapped measure's stats."""
+        """Clear the memo, the counters, and the wrapped measure's stats.
+
+        Meant for between runs: a lookup racing the reset may land in
+        the discarded tallies.
+        """
+        self._memo.clear()
         with self._lock:
-            self._lru.clear()
-            self._hits = 0
-            self._misses = 0
-            self._evictions = 0
+            self._tallies = []
+            self._local = threading.local()
         with self._publish_lock:
             self._published.clear()
         super().reset_stats()

@@ -112,6 +112,19 @@ class LshSettings:
         return LshSettings(entity_bands=80, entity_rows=2, seed=seed)
 
 
+def lsh_geometry(backend: str) -> Optional[Tuple[LshSettings, str]]:
+    """The LSH geometry and display name of relatedness *backend*.
+
+    ``kore_lsh_g`` is the recall-geared KORE_LSH-G and ``kore_lsh_f`` the
+    fast KORE_LSH-F; any other backend has no LSH stage (None).
+    """
+    if backend == "kore_lsh_g":
+        return LshSettings.recall_geared(), "KORE_LSH-G"
+    if backend == "kore_lsh_f":
+        return LshSettings.fast(), "KORE_LSH-F"
+    return None
+
+
 class _OverlaySketches(Mapping):
     """A read-only sketch table with a writable overlay.
 

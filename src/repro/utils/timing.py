@@ -68,8 +68,8 @@ class PipelineStats:
     ``feature_computation``, ``coherence_test``, ``graph_build``,
     ``solve``, ``post_process``) to accumulated wall-clock seconds; ``counters`` carries volume/effort
     numbers (mention and candidate counts, solver iterations, heap pops,
-    …).  Attached to :class:`repro.types.DisambiguationResult` and kept as
-    ``last_stats`` on the disambiguator.
+    …).  Attached to :class:`repro.types.DisambiguationResult` as
+    ``stats``.
     """
 
     phase_seconds: Dict[str, float] = field(default_factory=dict)

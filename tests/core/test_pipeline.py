@@ -236,7 +236,6 @@ class TestPipelineStats:
         result = aida.disambiguate(doc)
         stats = result.stats
         assert stats is not None
-        assert aida.last_stats is stats
         for phase in (
             "candidate_retrieval",
             "feature_computation",

@@ -64,8 +64,6 @@ class TestValue:
             PipelineSpec(config)
         with pytest.raises(ConfigurationError, match="exactly one"):
             PipelineSpec(config, kb_dir=kb_dir, snapshot=snap_path)
-        with pytest.raises(ConfigurationError, match="cache_size"):
-            PipelineSpec(config, kb_dir=kb_dir, cache_size=-1)
 
     def test_source_names_the_source(self, kb_dir, snap_path):
         config = AidaConfig.full()
@@ -88,9 +86,7 @@ class TestValue:
             prerank_topk=5,
         )
         where = {"kb_dir": kb_dir, "snapshot": snap_path}[source]
-        spec = PipelineSpec(
-            config, cache_relatedness=True, cache_size=9, **{source: where}
-        )
+        spec = PipelineSpec(config, cache_relatedness=True, **{source: where})
         copy = pickle.loads(pickle.dumps(spec))
         assert copy == spec
         assert copy.source == spec.source
@@ -105,16 +101,12 @@ class TestValue:
 
 
 class TestBuild:
-    @pytest.mark.parametrize("cache_size", (0, 64))
-    def test_cache_setting_wraps_relatedness(self, snap_path, cache_size):
+    @pytest.mark.parametrize("cache", (False, True))
+    def test_cache_setting_wraps_relatedness(self, snap_path, cache):
         pipeline = PipelineSpec(
-            AidaConfig.full(),
-            snapshot=snap_path,
-            cache_relatedness=True,
-            cache_size=cache_size,
+            AidaConfig.full(), snapshot=snap_path, cache_relatedness=cache
         ).build()
-        assert isinstance(pipeline.relatedness, CachingRelatedness)
-        assert pipeline.relatedness.maxsize == (cache_size or None)
+        assert isinstance(pipeline.relatedness, CachingRelatedness) is cache
 
     @pytest.mark.parametrize("backend", ("mw", "kore_lsh_g"))
     def test_both_sources_build_the_same_pipeline(

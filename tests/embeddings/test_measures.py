@@ -88,7 +88,7 @@ class TestRelatedness:
             for b in entities[i + 1 :]:
                 assert cached.relatedness(a, b) == measure.relatedness(a, b)
         stats = cached.cache_stats()
-        # Re-query: every pair must now come from the LRU.
+        # Re-query: every pair must now come from the memo.
         for i, a in enumerate(entities):
             for b in entities[i + 1 :]:
                 cached.relatedness(a, b)

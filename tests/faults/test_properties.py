@@ -5,9 +5,9 @@ Three families the chaos layer leans on:
 * backoff schedules — length, determinism, jitter bounds, monotonicity;
 * min-hash / LSH band math — signature lengths, set semantics, the
   ``bands * rows == sketch_length`` contract;
-* the shared relatedness LRU — capacity is never exceeded and cached
-  values are bit-identical to direct computation, for arbitrary lookup
-  sequences.
+* the shared relatedness memo — cached values are bit-identical to
+  direct computation and every distinct pair is stored and computed
+  once, for arbitrary lookup sequences.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ class TestLshBandProperties:
 
 
 # ----------------------------------------------------------------------
-# The shared relatedness LRU
+# The shared relatedness memo
 # ----------------------------------------------------------------------
 class _HashRelatedness(EntityRelatedness):
     """Deterministic stand-in measure: a hash of the canonical pair."""
@@ -183,22 +183,19 @@ lookup_sequences = st.lists(
 )
 
 
-class TestLruProperties:
+class TestMemoProperties:
     @COMMON
-    @given(
-        lookups=lookup_sequences,
-        maxsize=st.integers(min_value=1, max_value=5),
-    )
-    def test_capacity_never_exceeded_and_values_exact(
-        self, lookups, maxsize
-    ):
-        cache = CachingRelatedness(_HashRelatedness(), maxsize=maxsize)
+    @given(lookups=lookup_sequences)
+    def test_values_exact_and_each_pair_stored_once(self, lookups):
+        cache = CachingRelatedness(_HashRelatedness())
         reference = _HashRelatedness()
         for a, b in lookups:
             value = cache.relatedness(a, b)
             assert value == reference.relatedness(a, b)
-            assert cache.cache_stats().size <= maxsize
         stats = cache.cache_stats()
         non_identical = sum(1 for a, b in lookups if a != b)
+        distinct = {frozenset(pair) for pair in lookups if pair[0] != pair[1]}
         assert stats.lookups == non_identical
         assert stats.hits + stats.misses == non_identical
+        assert stats.size == stats.misses == stats.computations
+        assert stats.size == len(distinct)

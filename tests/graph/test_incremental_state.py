@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.graph.dense_subgraph import (
     DenseSubgraphConfig,
     GreedyDenseSubgraph,
+    SolverStats,
 )
 from repro.graph.synthetic import SyntheticGraphSpec, synthetic_graph
 
@@ -182,9 +183,8 @@ class TestSolverEquivalence:
 
     def test_stats_populated(self):
         spec = SyntheticGraphSpec(mentions=5, candidates_per_mention=4)
-        solver = GreedyDenseSubgraph()
-        solver.solve(synthetic_graph(spec))
-        stats = solver.last_stats
+        stats = SolverStats()
+        GreedyDenseSubgraph().solve(synthetic_graph(spec), stats)
         assert stats.initial_entities > 0
         assert stats.best_entities > 0
         assert stats.iterations > 0

@@ -1,16 +1,20 @@
 """Thread-safety of the shared relatedness cache.
 
-Hammers the same entity pairs from a thread pool and checks the two
-guarantees batch mode relies on: counter consistency (every lookup is
-accounted as exactly one hit or miss) and no recomputation after warm-up
-when the cache is unbounded.
+Hammers the same entity pairs from a thread pool, with more threads than
+cores and a shortened switch interval, and checks the two guarantees
+batch mode relies on: counter consistency (every lookup is accounted as
+exactly one hit or miss — a lost tally update breaks it) and no
+recomputation after warm-up.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
+
+import pytest
 
 from repro.graph.synthetic import (
     SyntheticLinkWorldSpec,
@@ -23,6 +27,18 @@ from repro.relatedness.base import EntityRelatedness
 ENTITIES = 16
 THREADS = 8
 ROUNDS_PER_THREAD = 30
+TIMEOUT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def fast_switching():
+    """Switch threads often, so interleavings a lock would hide occur."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
 
 
 class SlowCountingMeasure(EntityRelatedness):
@@ -59,9 +75,9 @@ def _hammer(cached, pairs, rounds):
 
 
 def test_no_recompute_after_warmup_unbounded():
-    """With maxsize=None, a warmed cache never recomputes a pair."""
+    """A warmed cache never recomputes a pair."""
     inner = SlowCountingMeasure()
-    cached = CachingRelatedness(inner)  # unbounded
+    cached = CachingRelatedness(inner)
     entities = [f"N{i}" for i in range(ENTITIES)]
     pairs = list(combinations(entities, 2))
     # Warm up serially: one computation per pair.
@@ -76,7 +92,7 @@ def test_no_recompute_after_warmup_unbounded():
             pool.submit(_hammer, cached, pairs, ROUNDS_PER_THREAD)
             for _ in range(THREADS)
         ]
-        results = [future.result() for future in futures]
+        results = [future.result(timeout=TIMEOUT_S) for future in futures]
 
     # No pair was recomputed after warm-up …
     assert inner.computed == len(pairs)
@@ -86,13 +102,12 @@ def test_no_recompute_after_warmup_unbounded():
             key = (a, b) if (a, b) in expected else (b, a)
             assert value == expected[key]
     # … and the counters are consistent: every post-warm-up lookup is a
-    # hit, hits + misses == total lookups, nothing was evicted.
+    # hit and hits + misses == total lookups.
     lookups_per_thread = len(pairs) * 2 * ROUNDS_PER_THREAD
     stats = cached.cache_stats()
     assert stats.hits == THREADS * lookups_per_thread
     assert stats.misses == len(pairs)
     assert stats.lookups == stats.hits + stats.misses
-    assert stats.evictions == 0
     assert stats.size == len(pairs)
 
 
@@ -110,7 +125,7 @@ def test_cold_concurrent_hammer_counters_consistent():
         futures = [
             pool.submit(_hammer, cached, pairs, 5) for _ in range(THREADS)
         ]
-        results = [future.result() for future in futures]
+        results = [future.result(timeout=TIMEOUT_S) for future in futures]
 
     for checks in results:
         for a, b, value in checks:
@@ -122,25 +137,3 @@ def test_cold_concurrent_hammer_counters_consistent():
     # may each count a miss, but never more than one per thread.
     assert len(pairs) <= stats.misses <= len(pairs) * THREADS
     assert stats.size == len(pairs)
-    assert stats.evictions == 0
-
-
-def test_bounded_cache_under_contention_stays_within_capacity():
-    """A bounded LRU never exceeds maxsize, whatever the interleaving."""
-    maxsize = 10
-    inner = SlowCountingMeasure()
-    cached = CachingRelatedness(inner, maxsize=maxsize)
-    entities = [f"B{i}" for i in range(ENTITIES)]
-    pairs = list(combinations(entities, 2))
-
-    with ThreadPoolExecutor(max_workers=THREADS) as pool:
-        futures = [
-            pool.submit(_hammer, cached, pairs, 3) for _ in range(THREADS)
-        ]
-        for future in futures:
-            future.result()
-
-    stats = cached.cache_stats()
-    assert stats.size <= maxsize
-    assert stats.evictions > 0
-    assert stats.hits + stats.misses == THREADS * len(pairs) * 2 * 3

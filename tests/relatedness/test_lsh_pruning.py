@@ -146,6 +146,20 @@ class TestStalePrunedZeros:
         cached.prepare(["Nick_Cave", "Hallelujah_Cave"])
         assert cached.relatedness("Nick_Cave", "Hallelujah_Cave") == exact
 
+    def test_stored_value_not_served_where_the_pair_is_pruned(self, setup):
+        store, weights = setup
+        kore = KoreRelatedness(store, weights)
+        cached = CachingRelatedness(
+            KoreLshRelatedness(store, kore, LshSettings.recall_geared())
+        )
+        # Document B stores the exact value of a colliding pair.
+        cached.prepare(["Nick_Cave", "Hallelujah_Cave"])
+        assert cached.relatedness("Nick_Cave", "Hallelujah_Cave") > 0.0
+        # Document A prunes the pair: the wrapped measure answers 0.0,
+        # and so must the cache, not document B's value.
+        cached.prepare(["Nick_Cave", "Hallelujah_Chorus"])
+        assert cached.relatedness("Nick_Cave", "Hallelujah_Cave") == 0.0
+
     def test_surviving_values_stay_memoizable(self, setup):
         store, weights = setup
         kore = KoreRelatedness(store, weights)

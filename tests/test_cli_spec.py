@@ -82,7 +82,7 @@ def _shaping_actions(command: str):
     cli._add_relatedness_argument(probe)
     cli._add_prerank_arguments(probe)
     dests = {action.dest for action in probe._actions} - {"help"}
-    dests |= {"variant", "cache_relatedness", "cache_size"}
+    dests |= {"variant", "cache_relatedness"}
     return [
         action
         for action in _subparser(command)._actions
@@ -138,7 +138,6 @@ def test_flag_lists_cover_the_shared_helpers():
         "similarity_backend",
         "variant",
         "cache_relatedness",
-        "cache_size",
     } <= dests
 
 
@@ -189,7 +188,8 @@ def test_spawned_workers_build_the_parents_config(kb_dir, snap_path):
 
 _ACCURACY = re.compile(r"^(micro accuracy|macro accuracy|MAP):", re.M)
 _CACHE = re.compile(
-    r"relatedness cache: (\d+) hits, (\d+) misses, (\d+) evictions"
+    r"relatedness cache: (\d+) hits, (\d+) misses "
+    r"\((\d+\.\d)% hit rate\)"
 )
 
 
@@ -225,7 +225,7 @@ def test_cache_summary_counts_the_caches_that_did_the_work(
     assert _accuracy_lines(cached) == _accuracy_lines(uncached)
     match = _CACHE.search(cached)
     assert match, cached
-    hits, misses, evictions = map(int, match.groups())
+    hits, misses = map(int, match.groups()[:2])
     assert hits > 0
     assert misses > 0
-    assert evictions == 0
+    assert float(match.group(3)) == round(100 * hits / (hits + misses), 1)
