@@ -133,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="full",
         help="AIDA configuration",
     )
-    _add_compiled_argument(dis)
     _add_relatedness_argument(dis)
     _add_prerank_arguments(dis)
     _add_obs_arguments(dis)
@@ -158,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     rel.add_argument(
         "entities", nargs="+", help="two or more entity ids (all pairs)"
     )
-    _add_compiled_argument(rel)
 
     cls = subparsers.add_parser(
         "classify", help="coarse-type the mentions of a text"
@@ -212,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="share one relatedness memo across documents and threads "
         "and print its hit/miss statistics",
     )
-    _add_compiled_argument(evaluate)
     _add_relatedness_argument(evaluate)
     _add_prerank_arguments(evaluate)
     _add_obs_arguments(evaluate)
@@ -287,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve JSONL requests from stdin to stdout instead of "
         "listening on a TCP port; exits at EOF",
     )
-    _add_compiled_argument(serve)
     _add_relatedness_argument(serve)
     _add_prerank_arguments(serve)
     _add_obs_arguments(serve)
@@ -315,11 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-keyphrases", type=int, default=0,
         help="per-entity keyphrase cap baked into the compiled arrays "
         "(0 = unlimited)",
-    )
-    snap_build.add_argument(
-        "--backend", choices=("auto", "numpy", "python"), default="auto",
-        help="compiled-scoring backend recorded in the manifest "
-        "('auto' resolves at load time on each host)",
     )
     snap_build.add_argument(
         "--gearings", default="g,f", metavar="LIST",
@@ -446,7 +437,6 @@ def _pipeline_spec(args: argparse.Namespace) -> PipelineSpec:
         return PipelineSpec(
             dataclasses.replace(
                 AIDA_VARIANTS[args.variant](),
-                use_compiled=args.compiled,
                 relatedness_backend=args.relatedness,
                 similarity_backend=args.similarity_backend,
                 prerank_topk=args.prerank_topk,
@@ -466,18 +456,6 @@ def _add_snapshot_argument(sub: argparse.ArgumentParser) -> None:
         help="serve models from this mmap snapshot image instead of "
         "loading --kb into memory; process workers attach to the image "
         "by path (near-zero startup, shared read-only pages)",
-    )
-
-
-def _add_compiled_argument(sub: argparse.ArgumentParser) -> None:
-    """The ``--compiled/--no-compiled`` toggle (default: compiled on)."""
-    sub.add_argument(
-        "--compiled",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="use the compiled keyphrase scoring layer (interned-id "
-        "entity models + posting-indexed contexts; score-equivalent to "
-        "the reference scorers, falls back automatically on failure)",
     )
 
 
@@ -685,12 +663,10 @@ def cmd_relatedness(args: argparse.Namespace) -> int:
 
         measure = EmbeddingRelatedness(shared_model(kb))
     else:
-        weights = WeightModel(kb.keyphrases, kb.links)
-        compiled = None
-        if args.compiled:
-            from repro.compiled import CompiledKeyphrases
+        from repro.compiled import CompiledKeyphrases
 
-            compiled = CompiledKeyphrases(kb.keyphrases, weights)
+        weights = WeightModel(kb.keyphrases, kb.links)
+        compiled = CompiledKeyphrases(kb.keyphrases, weights)
         measure = KoreRelatedness(
             kb.keyphrases, weights, compiled=compiled
         )
@@ -702,8 +678,7 @@ def cmd_relatedness(args: argparse.Namespace) -> int:
             measure = KoreLshRelatedness(
                 kb.keyphrases, measure, settings, name=name
             )
-            if compiled is not None:
-                measure.attach_compiled(compiled)
+            measure.attach_compiled(compiled)
             # The listed entities are the task's candidate set: pairs
             # sharing no stage-two bucket print as 0.0000 uncomputed.
             measure.prepare(args.entities)
@@ -947,7 +922,6 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
             args.out,
             scheme=args.scheme,
             max_keyphrases=args.max_keyphrases or None,
-            backend=args.backend,
             gearings=gearings,
             source_fingerprint=kb_fingerprint(args.kb),
             embeddings=embeddings,

@@ -1,10 +1,11 @@
-"""Compiled keyphrase scoring layer.
+"""Compiled keyphrase scoring: the one implementation of Eq. 3.4/3.6
+and Eq. 4.3/4.4.
 
-The reference implementations of keyphrase cover matching (Eq. 3.4/3.6)
-and KORE (Eq. 4.3/4.4) work over strings and dicts: every (mention,
-candidate) pair re-hashes phrase words, rebuilds weight sets, and sorts
-tuples.  This package compiles the per-entity keyphrase models **once**
-into flat integer/float arrays and scores over those:
+Written over strings and dicts, keyphrase cover matching and KORE would
+re-hash phrase words, rebuild weight sets and sort tuples for every
+(mention, candidate) pair.  This package compiles the per-entity
+keyphrase models **once** into flat integer/float arrays and scores over
+those:
 
 * :class:`~repro.compiled.vocabulary.Vocabulary` — a KB-wide interner
   mapping normalized words to dense ``int32`` ids;
@@ -17,12 +18,14 @@ into flat integer/float arrays and scores over those:
 * :class:`~repro.compiled.context.IndexedContext` — a token-id posting
   index over a document context, built once per mention instead of once
   per (mention, candidate);
-* :mod:`~repro.compiled.scoring` — array rewrites of the cover sweep and
-  of KORE phrase overlap (sorted-id merges), with an optional numpy fast
-  path and a pure-Python fallback that produce identical covers.
+* :mod:`~repro.compiled.scoring` — the cover sweep over posting lists
+  (a numpy kernel for large hit counts, returning the identical window)
+  and KORE phrase overlap as sorted-id merges.
 
-Both backends are score-equivalent to the reference implementations
-within 1e-9 (see ``tests/test_differential_compiled.py``).
+:class:`~repro.similarity.keyphrase_match.KeyphraseSimilarity` and
+:class:`~repro.relatedness.kore.KoreRelatedness` always score through
+this layer.  The string/dict oracles in ``tests/oracles/`` hold it to
+within 1e-9 (``tests/test_differential_compiled.py``).
 """
 
 from repro.compiled.context import IndexedContext
@@ -31,12 +34,11 @@ from repro.compiled.keyphrases import (
     KoreEntityModel,
     SimEntityModel,
 )
-from repro.compiled.scoring import HAVE_NUMPY, kore_score, simscore_arrays
+from repro.compiled.scoring import kore_score, simscore_arrays
 from repro.compiled.vocabulary import Vocabulary
 
 __all__ = [
     "CompiledKeyphrases",
-    "HAVE_NUMPY",
     "IndexedContext",
     "KoreEntityModel",
     "SimEntityModel",

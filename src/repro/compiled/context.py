@@ -5,20 +5,19 @@ document by normalized token string.  :class:`IndexedContext` translates
 that index once into vocabulary ids, so the cover sweep and the phrase
 match tests run on integer posting lists.  It is built **once per
 mention context** and reused for every candidate entity scored against
-it — the reference path re-hashes every phrase word per candidate.
+it, instead of re-hashing every phrase word per candidate.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
+
+import numpy as _np
 
 from repro.compiled.vocabulary import Vocabulary
-from repro.similarity.context import DocumentContext
 
-try:  # pragma: no cover - exercised via the backend-forcing tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+if TYPE_CHECKING:  # the similarity package imports this one
+    from repro.similarity.context import DocumentContext
 
 
 class IndexedContext:
@@ -52,7 +51,7 @@ class IndexedContext:
         return self.postings.get(wid)
 
     def positions_array(self, wid: int):
-        """The postings of ``wid`` as a cached numpy array (numpy path)."""
+        """The postings of ``wid`` as a cached numpy array (numpy kernel)."""
         cached = self._arrays.get(wid)
         if cached is None:
             cached = _np.asarray(self.postings[wid], dtype=_np.int64)

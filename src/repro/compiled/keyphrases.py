@@ -25,17 +25,16 @@ workers and every worker shares it read-only.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 from repro.compiled.context import IndexedContext
-from repro.compiled.scoring import HAVE_NUMPY
 from repro.compiled.vocabulary import Vocabulary
 from repro.kb.keyphrases import KeyphraseStore
-from repro.similarity.context import DocumentContext
 from repro.types import EntityId
 from repro.weights.model import WeightModel
 
-_BACKENDS = ("auto", "numpy", "python")
+if TYPE_CHECKING:  # the similarity package imports this one
+    from repro.similarity.context import DocumentContext
 
 
 class SimEntityModel:
@@ -131,9 +130,7 @@ class CompiledKeyphrases:
     Parameters mirror :class:`~repro.similarity.keyphrase_match.\
 KeyphraseSimilarity`: ``scheme`` and ``max_keyphrases`` shape the sim
     models (KORE models always use the full phrase list with µ/IDF
-    weights, as Eq. 4.4 prescribes).  ``backend`` selects the cover
-    implementation: ``"auto"`` uses numpy when importable, ``"python"``
-    forces the pure-Python sweep, ``"numpy"`` requires numpy.
+    weights, as Eq. 4.4 prescribes).
     """
 
     def __init__(
@@ -142,23 +139,13 @@ KeyphraseSimilarity`: ``scheme`` and ``max_keyphrases`` shape the sim
         weights: WeightModel,
         scheme: str = "npmi",
         max_keyphrases: Optional[int] = None,
-        backend: str = "auto",
     ):
         if scheme not in ("npmi", "idf"):
             raise ValueError(f"unknown weight scheme: {scheme!r}")
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"backend must be one of {_BACKENDS}, got {backend!r}"
-            )
-        if backend == "numpy" and not HAVE_NUMPY:
-            raise ValueError("backend 'numpy' requested but numpy is absent")
         self._store = store
         self._weights = weights
         self.scheme = scheme
         self.max_keyphrases = max_keyphrases
-        self.backend = backend
-        #: Whether cover matching takes the numpy fast path.
-        self.use_numpy = HAVE_NUMPY if backend == "auto" else backend == "numpy"
         #: The full store vocabulary is interned eagerly so that contexts
         #: indexed *before* an entity's lazy compilation still carry the
         #: postings of that entity's words (interning later would assign

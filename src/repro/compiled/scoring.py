@@ -3,37 +3,29 @@
 Two hot loops are rewritten over integer arrays:
 
 * **Cover matching** (Eq. 3.4): the shortest-window sweep runs over
-  merged posting lists with id comparisons.  The pure-Python sweep is a
-  faithful transcription of the reference algorithm in
-  :func:`repro.similarity.keyphrase_match.phrase_cover`, including its
-  first-minimal-window tie-break (which matters when the distance
-  discount reads the cover's center).  The numpy path computes, for
-  every hit position, the tightest window ending there via
-  ``searchsorted`` and takes the first minimum — provably the same
-  window.
+  merged posting lists with id comparisons.  The plain sweep keeps the
+  string sweep's first-minimal-window tie-break (which matters when the
+  distance discount reads the cover's center).  Above
+  :data:`NUMPY_MIN_HITS` hits a numpy kernel computes, for every hit
+  position, the tightest window ending there via ``searchsorted`` and
+  takes the first minimum — provably the same window.
 * **KORE phrase overlap** (Eq. 4.3/4.4): PO is a single merge of two
   sorted id arrays with aligned γ weights (min over the intersection,
   max over the union), and candidate phrase pairs come from a word→
   phrase inverted index of id arrays instead of a set of tuple pairs.
 
-Both backends return scores equal to the reference implementations
-within 1e-9 (the residue is float summation order, not algorithm).
+Scores equal the string/dict oracles of ``tests/oracles/`` within 1e-9
+(the residue is float summation order, not algorithm).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
-
-#: Whether the optional numpy fast path is available at all.
-HAVE_NUMPY = _np is not None
+import numpy as _np
 
 #: Below this many total hits the plain sweep beats numpy's call
-#: overhead; both paths return the identical window, so the threshold
+#: overhead; both kernels return the identical window, so the threshold
 #: is a pure performance knob.
 NUMPY_MIN_HITS = 32
 
@@ -44,10 +36,9 @@ NUMPY_MIN_HITS = 32
 def cover_sweep(lists: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
     """Shortest window covering one position from every list.
 
-    Returns ``(length, start, end)`` in token offsets (inclusive).  The
-    reference tie-break is preserved: among minimal windows the one whose
-    end position comes first wins (strict-improvement update over hits
-    sorted by position).
+    Returns ``(length, start, end)`` in token offsets (inclusive).  Among
+    minimal windows the one whose end position comes first wins
+    (strict-improvement update over hits sorted by position).
     """
     if len(lists) == 1:
         pos = lists[0][0]
@@ -82,7 +73,7 @@ def cover_sweep(lists: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
 
 
 def cover_numpy(arrays: Sequence) -> Tuple[int, int, int]:
-    """The numpy fast path of :func:`cover_sweep` (identical window).
+    """The numpy kernel of :func:`cover_sweep` (identical window).
 
     For every hit position ``p`` (all lists merged, ascending) the
     tightest covering window ending at ``p`` starts at the minimum over
@@ -103,15 +94,14 @@ def cover_numpy(arrays: Sequence) -> Tuple[int, int, int]:
         valid = has if valid is None else (valid & has)
         starts = latest if starts is None else _np.minimum(starts, latest)
     lengths = _np.where(valid, merged - starts + 1, _np.iinfo(merged.dtype).max)
-    best = int(_np.argmin(lengths))  # first minimum == reference tie-break
+    best = int(_np.argmin(lengths))  # first minimum == sweep tie-break
     return int(lengths[best]), int(starts[best]), int(merged[best])
 
 
-def _best_cover(indexed, word_ids, lists, use_numpy):
-    """Dispatch the cover computation to the right backend."""
+def _best_cover(indexed, word_ids, lists):
+    """Dispatch the cover computation on input size."""
     if (
-        use_numpy
-        and len(lists) > 1
+        len(lists) > 1
         and sum(len(positions) for positions in lists) >= NUMPY_MIN_HITS
     ):
         return cover_numpy(
@@ -127,7 +117,6 @@ def simscore_arrays(
     indexed,
     model,
     distance_discount: float = 0.0,
-    use_numpy: bool = False,
 ) -> Tuple[float, int, int]:
     """Aggregate keyphrase score of one entity against an indexed context.
 
@@ -170,17 +159,15 @@ def simscore_arrays(
     doc_length = indexed.document_length if discounting else 1
     totals = model.phrase_totals
     total = 0.0
-    # Ascending phrase order keeps the float accumulation order of the
-    # reference loop over ``entity_phrases``.
+    # Ascending phrase order keeps the float accumulation order of a
+    # loop over ``entity_phrases``.
     for phrase in sorted(matched_words):
         total_weight = totals[phrase]
         if total_weight <= 0.0:
             continue
         word_subset = matched_words[phrase]
         lists = [postings[wid] for wid in word_subset]
-        length, start, end = _best_cover(
-            indexed, word_subset, lists, use_numpy
-        )
+        length, start, end = _best_cover(indexed, word_subset, lists)
         ratio = matched_weight[phrase] / total_weight
         score = (len(word_subset) / length) * ratio * ratio
         if score > 0.0 and center is not None:
@@ -214,10 +201,10 @@ def _po_merge(
 
     Intersection words contribute ``min`` to the numerator and ``max``
     to the denominator.  A word on one side of the *phrase* pair still
-    looks up the other **entity's** γ map (the reference scores against
-    per-entity weight dicts, so a word absent from phrase ``q`` but
-    present elsewhere in entity ``f`` keeps f's weight in the ``max``);
-    only words unknown to the other entity fall back to 0.0.
+    looks up the other **entity's** γ map (Eq. 4.3 weighs words by
+    per-entity γ, so a word absent from phrase ``q`` but present
+    elsewhere in entity ``f`` keeps f's weight in the ``max``); only
+    words unknown to the other entity fall back to 0.0.
     """
     numerator = 0.0
     denominator = 0.0
@@ -266,7 +253,7 @@ def kore_score(model_a, model_b, squared: bool = True) -> float:
 
     Candidate phrase pairs are discovered through the second entity's
     word→phrase inverted index; a per-phrase seen-set of integer phrase
-    indices replaces the reference's materialized set of tuple pairs.
+    indices dedupes partners found through several shared words.
     """
     denominator = model_a.phi_sum + model_b.phi_sum
     if denominator <= 0.0:

@@ -41,7 +41,7 @@ class PriorMode(enum.Enum):
 RELATEDNESS_BACKENDS = ("mw", "kore", "kore_lsh_g", "kore_lsh_f", "embedding")
 
 #: Selectable mention-entity similarity backends: keyphrase cover
-#: matching (Eq. 3.4/3.6, optionally compiled) or context/entity cosine
+#: matching (Eq. 3.4/3.6, compiled) or context/entity cosine
 #: in the embedding space — the sparse-keyphrase fallback regime.
 SIMILARITY_BACKENDS = ("keyphrase", "embedding")
 
@@ -80,12 +80,6 @@ class AidaConfig:
     #: the document ("Jimmy Page") and restrict their candidate space to
     #: the chain's (Section 2.4.3's coreference view, applied to NED).
     use_name_coreference: bool = False
-    #: Use the compiled keyphrase scoring layer (:mod:`repro.compiled`):
-    #: interned-id entity models and posting-indexed contexts, score-
-    #: equivalent to the reference scorers within 1e-9.  On construction
-    #: failure the pipeline logs a warning and falls back to the
-    #: reference path, so this flag is safe to leave on.
-    use_compiled: bool = True
     #: Entity-entity relatedness backend for the coherence stage (one of
     #: :data:`RELATEDNESS_BACKENDS`).  ``kore_lsh_g``/``kore_lsh_f``
     #: precompute KB-wide entity sketches at pipeline construction and

@@ -29,6 +29,7 @@ import time
 from contextlib import contextmanager
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro.compiled.keyphrases import CompiledKeyphrases
 from repro.core.config import AidaConfig, PriorMode
 from repro.core.robustness import passes_prior_test, should_fix_mention
 from repro.faults.deadline import check_budget
@@ -101,23 +102,23 @@ class AidaDisambiguator:
             )
         )
         max_kp = self.config.max_keyphrases or None
-        #: The shared compiled keyphrase model, or None on the reference
-        #: path.  An explicitly passed model wins over ``use_compiled``;
-        #: otherwise one is built here (and on failure the pipeline logs
-        #: a warning and degrades to the reference scorers) — unless no
-        #: configured component consumes keyphrase scoring at all.
+        #: The shared compiled keyphrase model, or None when no configured
+        #: component scores keyphrases.  An explicitly passed model (a
+        #: snapshot's, or a sibling rung's) wins; otherwise one is built
+        #: here, and a failure to build it fails construction.
         self.compiled = compiled_keyphrases
         needs_compiled = (
             self.config.similarity_backend == "keyphrase"
             or self.config.relatedness_backend
             in ("kore", "kore_lsh_g", "kore_lsh_f")
         )
-        if (
-            self.compiled is None
-            and self.config.use_compiled
-            and needs_compiled
-        ):
-            self.compiled = self._build_compiled(max_kp)
+        if self.compiled is None and needs_compiled:
+            self.compiled = CompiledKeyphrases(
+                self.store,
+                self.weights,
+                scheme=self.config.keyword_weight_scheme,
+                max_keyphrases=max_kp,
+            )
         if self.config.similarity_backend == "embedding":
             from repro.embeddings import EmbeddingSimilarity
 
@@ -161,25 +162,6 @@ class AidaDisambiguator:
             compiled_keyphrases=self.compiled,
             embedding_model=self.embeddings,
         )
-
-    def _build_compiled(self, max_keyphrases: Optional[int]):
-        """Build the compiled keyphrase layer, or None on any failure."""
-        try:
-            from repro.compiled import CompiledKeyphrases
-
-            return CompiledKeyphrases(
-                self.store,
-                self.weights,
-                scheme=self.config.keyword_weight_scheme,
-                max_keyphrases=max_keyphrases,
-            )
-        except Exception as exc:  # degrade, never fail construction
-            _LOG.warning(
-                "compiled keyphrase layer unavailable, falling back to "
-                "reference scoring: %s",
-                exc,
-            )
-            return None
 
     @staticmethod
     def build_relatedness(

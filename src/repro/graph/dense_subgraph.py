@@ -25,10 +25,10 @@ The main loop runs in O(E log V) using two lazy-deletion min-heaps keyed by
   density objective incrementally.
 
 Best iterations are recorded as O(1) graph checkpoints (removal-prefix
-indices) instead of frozenset snapshots.  The heap path and the reference
-O(V²)-scan path (``DenseSubgraphConfig.exact_reference``) pick identical
-victims — both use the exact argmin of ``(degree, entity id)`` — so their
-results are bit-identical.
+indices) instead of frozenset snapshots.  Victims are the exact argmin of
+``(degree, entity id)``, so the result does not depend on heap order; the
+differential suite checks it bit-for-bit against a full-rescan loop kept
+as a test oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import heapq
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import GraphError
 from repro.faults.deadline import check_budget
@@ -61,17 +61,12 @@ class DenseSubgraphConfig:
     ``local_search_iterations`` — iterations of the randomized local search
     used when enumeration is infeasible.
     ``seed`` — seed for the local search.
-    ``exact_reference`` — run the original O(V²·M log V) full-rescan main
-    loop instead of the incremental heap loop.  Both produce identical
-    assignments; the reference path exists for cross-checking and
-    benchmarking.
     """
 
     prune_factor: int = 5
     enumeration_limit: int = 20000
     local_search_iterations: int = 500
     seed: int = 42
-    exact_reference: bool = False
 
     def __post_init__(self) -> None:
         if self.prune_factor < 1:
@@ -90,8 +85,7 @@ class SolverStats:
     best_entities: int = 0
     #: Main-loop iterations (= entity removals).
     iterations: int = 0
-    #: Heap pops, including discarded stale entries (0 on the reference
-    #: scan path).
+    #: Heap pops, including discarded stale entries.
     heap_pops: int = 0
     #: Best-subgraph checkpoints taken (times the density objective
     #: improved, including the initial state).
@@ -140,17 +134,12 @@ class GreedyDenseSubgraph:
             self._preprocess(graph)
         stats.initial_entities = graph.entity_count()
         with tracer.span("solver.main_loop", category="solver"):
-            if self.config.exact_reference:
-                best = self._main_loop_reference(graph, stats)
-                graph.restore(best)
-            else:
-                best_checkpoint = self._main_loop(graph, stats)
-                graph.rollback(best_checkpoint)
-                # The reference path's restore() recomputes degrees from
-                # scratch; canonicalize here so both paths hand
-                # bit-identical degrees to the post-processing local
-                # search.
-                graph.canonicalize_degrees()
+            best_checkpoint = self._main_loop(graph, stats)
+            graph.rollback(best_checkpoint)
+            # The local search samples by weighted degree; recompute the
+            # degrees in canonical summation order so it sees the same
+            # values however the best subgraph was reached.
+            graph.canonicalize_degrees()
         stats.best_entities = graph.entity_count()
         with tracer.span("solver.postprocess", category="solver"):
             assignment = self._postprocess(graph, stats)
@@ -278,54 +267,6 @@ class GreedyDenseSubgraph:
             heapq.heappop(min_heap)
             stats.heap_pops += 1
         return 0.0
-
-    def _main_loop_reference(
-        self, graph: MentionEntityGraph, stats: SolverStats
-    ) -> FrozenSet[EntityId]:
-        """The original full-rescan loop (kept for cross-checking)."""
-        best_snapshot = graph.snapshot()
-        stats.checkpoints += 1
-        best_objective = self._objective(graph)
-        injector = get_injector()
-        while True:
-            check_budget("solver.iteration")
-            if injector.enabled:
-                injector.fire("solver.iteration")
-            victim = self._lowest_degree_non_taboo(graph)
-            if victim is None:
-                break
-            stats.iterations += 1
-            graph.remove_entity(victim)
-            objective = self._objective(graph)
-            if objective > best_objective:
-                best_objective = objective
-                best_snapshot = graph.snapshot()
-                stats.checkpoints += 1
-        stats.best_objective = best_objective
-        return best_snapshot
-
-    @staticmethod
-    def _objective(graph: MentionEntityGraph) -> float:
-        count = graph.entity_count()
-        if count == 0:
-            return 0.0
-        return graph.minimum_weighted_degree() / count
-
-    @staticmethod
-    def _lowest_degree_non_taboo(
-        graph: MentionEntityGraph,
-    ) -> Optional[EntityId]:
-        # Argmin of the (degree, entity id) tuple — the same key the heap
-        # path orders by, so victim choice is deterministic even when
-        # different float summation orders produce near-equal degrees.
-        best_key: Optional[Tuple[float, EntityId]] = None
-        for entity_id in graph.active_entities():
-            if graph.is_taboo(entity_id):
-                continue
-            key = (graph.weighted_degree(entity_id), entity_id)
-            if best_key is None or key < best_key:
-                best_key = key
-        return best_key[1] if best_key is not None else None
 
     # ------------------------------------------------------------------
     # Phase 3: final one-entity-per-mention selection

@@ -20,10 +20,6 @@ Algorithm 1 needs to run in O(E log V):
   state is O(1) (``checkpoint`` returns the removal count) and
   ``rollback`` undoes removals in reverse, restoring degrees and counters
   incrementally.
-
-The frozenset-based ``snapshot``/``restore`` API is kept for callers that
-need arbitrary (non-prefix) state resets; it recomputes counters from
-scratch and invalidates outstanding checkpoints.
 """
 
 from __future__ import annotations
@@ -222,23 +218,6 @@ class MentionEntityGraph:
                 return eid
         return None
 
-    def _recompute_candidate_state(self) -> None:
-        """Rebuild live-candidate and taboo counters from scratch (used
-        after non-incremental state resets)."""
-        self._live_candidates = {
-            index: sum(
-                1 for eid in cands if eid not in self._removed
-            )
-            for index, cands in self._me.items()
-        }
-        self._taboo_count = {}
-        for index, count in self._live_candidates.items():
-            if count == 1:
-                survivor = self._sole_live_candidate(index, excluding=None)
-                if survivor is not None:
-                    self._bump_taboo(survivor, +1)
-        self._removal_log = []
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -306,13 +285,6 @@ class MentionEntityGraph:
         if entity_id in self._removed:
             return 0.0
         return self._degree.get(entity_id, 0.0)
-
-    def minimum_weighted_degree(self) -> float:
-        """Minimum weighted degree over active entities."""
-        active = self.active_entities()
-        if not active:
-            return 0.0
-        return min(self.weighted_degree(eid) for eid in active)
 
     def is_taboo(self, entity_id: EntityId) -> bool:
         """An entity is taboo if it is the last remaining candidate for any
@@ -384,7 +356,7 @@ class MentionEntityGraph:
     # ------------------------------------------------------------------
     def checkpoint(self) -> int:
         """O(1) marker for the current state: the number of removals so
-        far.  Valid until a non-prefix reset (``restore``) happens."""
+        far.  Valid until :meth:`canonicalize_degrees` clears the log."""
         return len(self._removal_log)
 
     def rollback(self, checkpoint: int) -> None:
@@ -437,18 +409,3 @@ class MentionEntityGraph:
             degrees[entity_id] = total
         self._degree = degrees
         self._removal_log = []
-
-    def snapshot(self) -> FrozenSet[EntityId]:
-        """The current active entity set (used to record best solutions)."""
-        return frozenset(self.active_entities())
-
-    def restore(self, snapshot: FrozenSet[EntityId]) -> None:
-        """Reset the removed set so exactly *snapshot* is active.
-
-        This is a full (non-incremental) reset: counters are recomputed
-        and outstanding :meth:`checkpoint` markers become invalid.
-        """
-        all_entities = set(self._entity_mentions)
-        self._removed = all_entities - set(snapshot)
-        self.canonicalize_degrees()
-        self._recompute_candidate_state()

@@ -1,9 +1,9 @@
 """Seeded synthetic mention-entity graphs and link worlds.
 
-Used by the solver-equivalence tests, the solver performance benchmark,
-and the relatedness differential tests: all need families of inputs of
-controlled size that are bit-identical across runs and across the
-reference/optimized code paths being compared.
+Used by the solver-equivalence tests and the relatedness differential
+tests: both need families of inputs of controlled size that are
+bit-identical across runs and across the production and oracle code
+paths being compared.
 """
 
 from __future__ import annotations

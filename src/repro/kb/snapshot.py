@@ -54,7 +54,6 @@ from repro.compiled.keyphrases import (
     KoreEntityModel,
     SimEntityModel,
 )
-from repro.compiled.scoring import HAVE_NUMPY
 from repro.compiled.vocabulary import UNKNOWN, Vocabulary
 from repro.errors import KnowledgeBaseError, PermanentError, UnknownEntityError
 from repro.faults.injector import get_injector
@@ -180,14 +179,13 @@ def build_snapshot(
     path: str,
     scheme: str = "npmi",
     max_keyphrases: Optional[int] = None,
-    backend: str = "auto",
     gearings: Sequence[str] = ("g", "f"),
     source_fingerprint: str = "",
     embeddings=None,
 ) -> Dict[str, Any]:
     """Compile *kb* into a snapshot image at *path*, atomically.
 
-    ``scheme``/``max_keyphrases``/``backend`` mirror
+    ``scheme``/``max_keyphrases`` mirror
     :class:`~repro.compiled.keyphrases.CompiledKeyphrases` and must match
     the pipeline config the snapshot will serve.  ``gearings`` selects
     which LSH sketch tables to embed (``"g"`` recall-geared, ``"f"``
@@ -204,11 +202,7 @@ def build_snapshot(
     store = kb.keyphrases
     weights = WeightModel(store, kb.links)
     compiled = CompiledKeyphrases(
-        store,
-        weights,
-        scheme=scheme,
-        max_keyphrases=max_keyphrases,
-        backend=backend,
+        store, weights, scheme=scheme, max_keyphrases=max_keyphrases
     )
 
     # -- the shared id table: every id any component mentions, sorted.
@@ -266,7 +260,9 @@ def build_snapshot(
         "format": FORMAT_VERSION,
         "scheme": scheme,
         "max_keyphrases": max_keyphrases,
-        "backend": backend,
+        # Written for format stability; loaders ignore it (one scoring
+        # path, whatever an older image recorded here).
+        "backend": "auto",
         "source_fingerprint": source_fingerprint,
         "lsh": lsh_settings,
         "embeddings": (
@@ -1469,7 +1465,7 @@ class SnapshotCompiledKeyphrases:
 
     Drop-in for :class:`~repro.compiled.keyphrases.CompiledKeyphrases` on
     the scoring path: exposes the same ``scheme`` / ``max_keyphrases`` /
-    ``backend`` / ``use_numpy`` / ``vocabulary`` surface plus
+    ``vocabulary`` surface plus
     ``sim_model`` / ``kore_model`` / ``index_context`` / ``precompile``.
     Models are *views*, not copies — N workers share the page cache.
     """
@@ -1481,19 +1477,10 @@ class SnapshotCompiledKeyphrases:
         vocabulary: SnapshotVocabulary,
         scheme: str,
         max_keyphrases: Optional[int],
-        backend: str,
     ) -> None:
-        if backend == "numpy" and not HAVE_NUMPY:
-            raise _fail(
-                image.path,
-                "compiled with backend 'numpy' but numpy is not importable "
-                "here; rebuild with --compiled-backend auto or python",
-            )
         self._ids = ids
         self.scheme = scheme
         self.max_keyphrases = max_keyphrases
-        self.backend = backend
-        self.use_numpy = HAVE_NUMPY if backend == "auto" else backend == "numpy"
         self.vocabulary = vocabulary
         self._sim = {
             name: image.arr(f"sim/{name}", code)
@@ -1875,7 +1862,6 @@ class Snapshot:
                 self.vocabulary,
                 scheme=self.manifest["scheme"],
                 max_keyphrases=self.manifest["max_keyphrases"],
-                backend=self.manifest["backend"],
             ),
         )
 
@@ -1952,23 +1938,21 @@ class Snapshot:
     def pipeline_parts(self, config) -> Dict[str, Any]:
         """:func:`repro.core.spec.assemble_pipeline` keyword arguments:
         this image's models for a pipeline serving *config*."""
-        compiled = None
-        if config.use_compiled:
-            compiled = self.compiled
-            if config.keyword_weight_scheme != compiled.scheme:
-                raise _fail(
-                    self.path,
-                    f"compiled with scheme {compiled.scheme!r} but the "
-                    f"pipeline wants {config.keyword_weight_scheme!r}; "
-                    f"rebuild with --scheme {config.keyword_weight_scheme}",
-                )
-            if (config.max_keyphrases or None) != compiled.max_keyphrases:
-                raise _fail(
-                    self.path,
-                    f"compiled with max_keyphrases="
-                    f"{compiled.max_keyphrases!r} but the pipeline wants "
-                    f"{config.max_keyphrases or None!r}; rebuild to match",
-                )
+        compiled = self.compiled
+        if config.keyword_weight_scheme != compiled.scheme:
+            raise _fail(
+                self.path,
+                f"compiled with scheme {compiled.scheme!r} but the "
+                f"pipeline wants {config.keyword_weight_scheme!r}; "
+                f"rebuild with --scheme {config.keyword_weight_scheme}",
+            )
+        if (config.max_keyphrases or None) != compiled.max_keyphrases:
+            raise _fail(
+                self.path,
+                f"compiled with max_keyphrases="
+                f"{compiled.max_keyphrases!r} but the pipeline wants "
+                f"{config.max_keyphrases or None!r}; rebuild to match",
+            )
         sketches = None
         backend = config.relatedness_backend
         for gearing, backend_name in GEARINGS.items():

@@ -20,7 +20,7 @@ from repro.relatedness.keyterm_cosine import (
     KeywordCosineRelatedness,
     KeyphraseCosineRelatedness,
 )
-from repro.relatedness.kore import KoreRelatedness, phrase_overlap
+from repro.relatedness.kore import KoreRelatedness
 from repro.relatedness.lsh import KoreLshRelatedness, LshSettings
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "KeywordCosineRelatedness",
     "KeyphraseCosineRelatedness",
     "KoreRelatedness",
-    "phrase_overlap",
     "KoreLshRelatedness",
     "LshSettings",
 ]

@@ -13,16 +13,14 @@ partial overlap and re-weighting by the lesser phrase weight ϕ::
                / ( sum_p ϕe(p) + sum_q ϕf(q) )
 
 Per the experiments, ϕ uses µ (normalized MI) phrase weights and γ uses IDF
-keyword weights.  Only phrase pairs sharing at least one word can have
-PO > 0, so the implementation indexes phrases by word to skip the rest:
-per phrase of the first entity, candidate partners are deduplicated with
-a seen-set of integer phrase indices (no materialized set of tuple
-pairs), and the per-entity ``sum(ϕ)`` halves of the denominator are
-cached alongside ϕ itself.
-
-With a :class:`~repro.compiled.keyphrases.CompiledKeyphrases` attached,
-the whole measure runs on flat id arrays (sorted-id merges for the
-min/max weighted Jaccard) — score-equivalent within 1e-9.
+keyword weights.  The measure scores over the flat id arrays of a
+:class:`~repro.compiled.keyphrases.CompiledKeyphrases`
+(:func:`~repro.compiled.scoring.kore_score`): only phrase pairs sharing
+at least one word can have PO > 0, so candidate pairs come from a
+word→phrase inverted index, and PO is one merge of two sorted id arrays.
+The dict form of the same equations is a test oracle
+(``tests/oracles/kore.py``) that the differential suites hold this
+measure to within 1e-9.
 
 The LSH-pruned production backends (§4.4.2,
 :class:`~repro.relatedness.lsh.KoreLshRelatedness`) wrap this measure
@@ -34,40 +32,25 @@ site fires once per surviving pair — never here a second time.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Set, Tuple
+from typing import Optional
 
-from repro.kb.keyphrases import KeyphraseStore, Phrase
+from repro.compiled.keyphrases import CompiledKeyphrases
+from repro.compiled.scoring import kore_score
+from repro.kb.keyphrases import KeyphraseStore
 from repro.relatedness.base import EntityRelatedness
 from repro.types import EntityId
 from repro.weights.model import WeightModel
 
 
-def phrase_overlap(
-    phrase_p: Sequence[str],
-    phrase_q: Sequence[str],
-    gamma_e: Mapping[str, float],
-    gamma_f: Mapping[str, float],
-) -> float:
-    """Eq. 4.3 — weighted Jaccard overlap of two phrases' word sets."""
-    words_p = set(phrase_p)
-    words_q = set(phrase_q)
-    numerator = sum(
-        min(gamma_e.get(word, 0.0), gamma_f.get(word, 0.0))
-        for word in words_p & words_q
-    )
-    if numerator == 0.0:
-        return 0.0
-    denominator = sum(
-        max(gamma_e.get(word, 0.0), gamma_f.get(word, 0.0))
-        for word in words_p | words_q
-    )
-    if denominator <= 0.0:
-        return 0.0
-    return numerator / denominator
-
-
 class KoreRelatedness(EntityRelatedness):
-    """Keyphrase overlap relatedness with µ phrase / IDF word weights."""
+    """Keyphrase overlap relatedness with µ phrase / IDF word weights.
+
+    Scores through *compiled* when given (or attached later with
+    :meth:`attach_compiled`); otherwise the first pair compiles a model
+    from *store* and *weights*.  Compiling lazily lets a pipeline attach
+    its shared model after building the measure, so no second vocabulary
+    is scanned.
+    """
 
     name = "KORE"
 
@@ -76,7 +59,7 @@ class KoreRelatedness(EntityRelatedness):
         store: KeyphraseStore,
         weights: WeightModel,
         squared: bool = True,
-        compiled=None,
+        compiled: Optional[CompiledKeyphrases] = None,
     ):
         super().__init__()
         self._store = store
@@ -85,102 +68,20 @@ class KoreRelatedness(EntityRelatedness):
         #: choice); ``squared=False`` is the ablation knob.
         self.squared = squared
         self.compiled = compiled
-        self._phrase_weight_cache: Dict[EntityId, Dict[Phrase, float]] = {}
-        self._phi_sum_cache: Dict[EntityId, float] = {}
-        self._gamma_cache: Dict[EntityId, Dict[str, float]] = {}
-        self._phrase_list_cache: Dict[EntityId, List[Phrase]] = {}
-        self._word_index_cache: Dict[EntityId, Dict[str, List[int]]] = {}
 
     def attach_compiled(self, compiled) -> None:
-        """Switch this measure onto a compiled keyphrase model."""
+        """Score through a shared compiled keyphrase model."""
         self.compiled = compiled
 
-    # ------------------------------------------------------------------
-    # Per-entity cached models
-    # ------------------------------------------------------------------
-    def _phi(self, entity_id: EntityId) -> Dict[Phrase, float]:
-        cached = self._phrase_weight_cache.get(entity_id)
-        if cached is None:
-            cached = dict(self._weights.keyphrase_weights(entity_id))
-            self._phrase_weight_cache[entity_id] = cached
-        return cached
-
-    def _phi_sum(self, entity_id: EntityId) -> float:
-        """Cached ``sum(ϕ.values())`` — one half of the denominator."""
-        cached = self._phi_sum_cache.get(entity_id)
-        if cached is None:
-            cached = sum(self._phi(entity_id).values())
-            self._phi_sum_cache[entity_id] = cached
-        return cached
-
-    def _gamma(self, entity_id: EntityId) -> Dict[str, float]:
-        cached = self._gamma_cache.get(entity_id)
-        if cached is None:
-            cached = self._weights.keyword_weights(entity_id, scheme="idf")
-            self._gamma_cache[entity_id] = cached
-        return cached
-
-    def _phrases(self, entity_id: EntityId) -> List[Phrase]:
-        """Cached sorted phrase list (``keyphrases`` sorts per call)."""
-        cached = self._phrase_list_cache.get(entity_id)
-        if cached is None:
-            cached = self._store.keyphrases(entity_id)
-            self._phrase_list_cache[entity_id] = cached
-        return cached
-
-    def _word_index(self, entity_id: EntityId) -> Dict[str, List[int]]:
-        """word -> indices (into ``_phrases``) of phrases containing it."""
-        cached = self._word_index_cache.get(entity_id)
-        if cached is None:
-            cached = {}
-            for index, phrase in enumerate(self._phrases(entity_id)):
-                for word in set(phrase):
-                    cached.setdefault(word, []).append(index)
-            self._word_index_cache[entity_id] = cached
-        return cached
-
-    # ------------------------------------------------------------------
-    # The measure
-    # ------------------------------------------------------------------
     def _compute(self, a: EntityId, b: EntityId) -> float:
-        if self.compiled is not None:
-            from repro.compiled.scoring import kore_score
-
-            return kore_score(
-                self.compiled.kore_model(a),
-                self.compiled.kore_model(b),
-                squared=self.squared,
-            )
-        phi_a = self._phi(a)
-        phi_b = self._phi(b)
-        denominator = self._phi_sum(a) + self._phi_sum(b)
-        if denominator <= 0.0:
-            return 0.0
-        gamma_a = self._gamma(a)
-        gamma_b = self._gamma(b)
-        # Restrict to phrase pairs sharing at least one word; a per-phrase
-        # seen-set of integer indices dedupes partners found through
-        # several shared words.
-        phrases_b = self._phrases(b)
-        index_b = self._word_index(b)
-        numerator = 0.0
-        for phrase_p in self._phrases(a):
-            weight_p = phi_a.get(phrase_p, 0.0)
-            seen: Set[int] = set()
-            for word in set(phrase_p):
-                for q in index_b.get(word, ()):
-                    if q in seen:
-                        continue
-                    seen.add(q)
-                    phrase_q = phrases_b[q]
-                    po = phrase_overlap(
-                        phrase_p, phrase_q, gamma_a, gamma_b
-                    )
-                    if po == 0.0:
-                        continue
-                    if self.squared:
-                        po = po * po
-                    numerator += po * min(
-                        weight_p, phi_b.get(phrase_q, 0.0)
-                    )
-        return numerator / denominator
+        compiled = self.compiled
+        if compiled is None:
+            # Racing first pairs compile equal models (the vocabulary is
+            # the store's sorted word list); either may stay attached.
+            compiled = CompiledKeyphrases(self._store, self._weights)
+            self.compiled = compiled
+        return kore_score(
+            compiled.kore_model(a),
+            compiled.kore_model(b),
+            squared=self.squared,
+        )

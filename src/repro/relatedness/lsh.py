@@ -180,7 +180,7 @@ class KoreLshRelatedness(EntityRelatedness):
     """KORE with two-stage LSH pre-clustering.
 
     Wraps an exact :class:`~repro.relatedness.kore.KoreRelatedness`:
-    pairs surviving stage-two banding get the exact (possibly compiled)
+    pairs surviving stage-two banding get the exact (compiled)
     KORE value; pruned pairs are 0.0 without computation.  The wrapper's
     ``comparisons`` counter is the Table 4.4 quantity — the inner
     measure's accounting is bypassed entirely (one pair = one fault-site

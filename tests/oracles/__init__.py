@@ -1,0 +1,12 @@
+"""Reference implementations kept as test-only ground truth.
+
+Each module here is the plain, paper-shaped version of an operation whose
+production kernel under ``src/`` is optimized.  The differential suites
+score both and require agreement: bit-identical for the solver, within
+1e-9 for the keyphrase scorers.  Nothing under ``src/`` imports this
+package.
+
+* :mod:`tests.oracles.solver` — Algorithm 1's full-rescan main loop;
+* :mod:`tests.oracles.cover` — string/dict cover matching (Eq. 3.4/3.6);
+* :mod:`tests.oracles.kore` — dict-based KORE (Eq. 4.3/4.4).
+"""

@@ -1,4 +1,9 @@
-"""Tests for KORE, the cosine baselines, and the LSH acceleration."""
+"""Tests for KORE, the cosine baselines, and the LSH acceleration.
+
+``TestPhraseOverlap`` pins Eq. 4.3 on the dict oracle
+(``tests/oracles/kore.py``); the other KORE tests run the compiled
+measure.
+"""
 
 import pytest
 
@@ -8,9 +13,10 @@ from repro.relatedness.keyterm_cosine import (
     KeywordCosineRelatedness,
     cosine,
 )
-from repro.relatedness.kore import KoreRelatedness, phrase_overlap
+from repro.relatedness.kore import KoreRelatedness
 from repro.relatedness.lsh import KoreLshRelatedness, LshSettings
 from repro.weights.model import WeightModel
+from tests.oracles.kore import phrase_overlap
 
 
 @pytest.fixture

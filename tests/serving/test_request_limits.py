@@ -1,0 +1,117 @@
+"""The HTTP parser's limits, over loopback.
+
+A declared body above ``MAX_BODY_BYTES`` answers 413 before any of it is
+read, so a client that declares a large body and sends nothing gets its
+answer at once; a negative ``Content-Length`` answers 400; more than
+``MAX_HEADER_LINES`` header lines answer 431.  Every parse-level
+rejection carries a minted ``request_id``, as other error bodies do.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import json
+
+from repro.serving.server import MAX_BODY_BYTES, MAX_HEADER_LINES
+
+from tests.serving.conftest import drive, make_server
+
+#: An answer that waits for the declared body would hit this instead.
+ANSWER_TIMEOUT_S = 5.0
+
+
+async def _exchange(port: int, raw: bytes):
+    """Send *raw*, keep the socket open, and read the whole answer.
+
+    Returns ``(status, json_body)``.
+    """
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(raw)
+        await writer.drain()
+        answer = await asyncio.wait_for(reader.read(), ANSWER_TIMEOUT_S)
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, BrokenPipeError):
+            pass
+    head, _, body = answer.partition(b"\r\n\r\n")
+    status = int(head.split(b"\r\n", 1)[0].split()[1])
+    return status, json.loads(body)
+
+
+def _request(*headers: str) -> bytes:
+    lines = ["POST /disambiguate HTTP/1.1", "Host: 127.0.0.1", *headers]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
+def _assert_rejected(answer, status: int) -> None:
+    got, body = answer
+    assert got == status
+    assert body["error"]
+    assert isinstance(body["request_id"], str) and body["request_id"]
+
+
+def test_caps_are_module_constants():
+    assert MAX_BODY_BYTES == 1 << 20
+    assert MAX_HEADER_LINES == 100
+
+
+def test_oversized_body_answers_413_without_reading_it(serving_pipeline, kb):
+    server = make_server(serving_pipeline, kb=kb)
+    raw = _request(f"Content-Length: {MAX_BODY_BYTES + 1}")
+
+    async def driver(server):
+        # The body never comes; the socket stays open until the answer.
+        return await _exchange(server.port, raw)
+
+    _assert_rejected(drive(server, driver), 413)
+
+
+def test_negative_content_length_answers_400(serving_pipeline, kb):
+    server = make_server(serving_pipeline, kb=kb)
+
+    async def driver(server):
+        return await _exchange(server.port, _request("Content-Length: -5"))
+
+    _assert_rejected(drive(server, driver), 400)
+
+
+def test_too_many_header_lines_answer_431(serving_pipeline, kb):
+    server = make_server(serving_pipeline, kb=kb)
+    # The Host line counts too: MAX_HEADER_LINES + 1 in all.
+    extra = [f"X-Filler-{i}: x" for i in range(MAX_HEADER_LINES)]
+
+    async def driver(server):
+        return await _exchange(server.port, _request(*extra))
+
+    _assert_rejected(drive(server, driver), 431)
+
+
+def test_header_lines_at_the_cap_are_accepted(serving_pipeline, kb):
+    server = make_server(serving_pipeline, kb=kb)
+    extra = [f"X-Filler-{i}: x" for i in range(MAX_HEADER_LINES - 1)]
+
+    async def driver(server):
+        raw = (
+            "GET /healthz HTTP/1.1\r\n"
+            + "".join(f"{line}\r\n" for line in extra)
+            + "Content-Length: 0\r\n\r\n"
+        ).encode("latin-1")
+        return await _exchange(server.port, raw)
+
+    status, body = drive(server, driver)
+    assert status == 200
+    assert body["status"] == "ok"
+
+
+def test_malformed_request_line_carries_a_request_id(serving_pipeline, kb):
+    server = make_server(serving_pipeline, kb=kb)
+
+    async def driver(server):
+        return await _exchange(server.port, b"GARBAGE\r\n\r\n")
+
+    answer = drive(server, driver)
+    _assert_rejected(answer, 400)
+    assert answer[1]["error"] == "malformed request"

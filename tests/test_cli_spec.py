@@ -78,7 +78,6 @@ def _subparser(command: str) -> argparse.ArgumentParser:
 def _shaping_actions(command: str):
     """The pipeline-shaping options *command* accepts."""
     probe = argparse.ArgumentParser()
-    cli._add_compiled_argument(probe)
     cli._add_relatedness_argument(probe)
     cli._add_prerank_arguments(probe)
     dests = {action.dest for action in probe._actions} - {"help"}
@@ -132,13 +131,31 @@ FLAGS = [
 def test_flag_lists_cover_the_shared_helpers():
     dests = {dest for _command, dest in FLAGS}
     assert {
-        "compiled",
         "relatedness",
         "prerank_topk",
         "similarity_backend",
         "variant",
         "cache_relatedness",
     } <= dests
+
+
+@pytest.mark.parametrize(
+    "tokens",
+    [
+        ["disambiguate", "--kb", "kb", "--text", "t", "--no-compiled"],
+        ["evaluate", "--kb", "kb", "--corpus", "c", "--compiled"],
+        ["serve", "--kb", "kb", "--no-compiled"],
+        ["snapshot", "build", "--kb", "kb", "--out", "o",
+         "--backend", "python"],
+    ],
+)
+def test_removed_scoring_switches_are_argparse_errors(tokens, capsys):
+    """One scoring path: the old compiled/backend switches are unknown
+    arguments, not silently accepted no-ops."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(tokens)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, dest", FLAGS)

@@ -1,12 +1,13 @@
-"""Differential: compiled scorers versus reference over seeded worlds.
+"""Differential: compiled scorers versus the oracles over seeded worlds.
 
 Twenty seeded synthetic worlds (override the base seed with
 ``COMPILED_DIFF_BASE_SEED``): for each, every (mention context,
 candidate) simscore and every candidate-pair KORE relatedness is
-computed by both the reference string/dict path and the compiled
-integer-array path, and the values must agree within 1e-9.  The golden
-fixture corpus gets the same treatment against the session KB, plus a
-full-pipeline replay check (compiled on vs off) on its frozen documents.
+computed by both the string/dict oracles of ``tests/oracles/`` and the
+compiled integer-array scorers, and the values must agree within 1e-9.
+The golden fixture corpus gets the same treatment against the session
+KB; ``tests/test_golden_regression.py`` pins the full pipeline's answers
+on it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import os
 import pytest
 
 from repro.compiled import CompiledKeyphrases
-from repro.core.config import AidaConfig
-from repro.core.pipeline import AidaDisambiguator
 from repro.datagen.documents import DocumentGenerator, DocumentSpec
 from repro.datagen.io import load_corpus
 from repro.datagen.wikipedia import build_world_kb
@@ -26,6 +25,8 @@ from repro.relatedness.kore import KoreRelatedness
 from repro.similarity.context import DocumentContext
 from repro.similarity.keyphrase_match import KeyphraseSimilarity
 from repro.weights.model import WeightModel
+from tests.oracles.cover import ReferenceKeyphraseSimilarity
+from tests.oracles.kore import ReferenceKoreRelatedness
 
 BASE_SEED = int(os.environ.get("COMPILED_DIFF_BASE_SEED", "2203"))
 WORLD_SEEDS = [BASE_SEED + i for i in range(20)]
@@ -54,13 +55,13 @@ def _mention_contexts(kb, documents):
 
 
 def _assert_scorers_agree(kb, documents):
-    """Reference and compiled simscore + KORE agree within 1e-9."""
+    """Oracle and compiled simscore + KORE agree within 1e-9."""
     store = kb.keyphrases
     weights = WeightModel(store, kb.links)
     compiled = CompiledKeyphrases(store, weights)
-    reference_sim = KeyphraseSimilarity(store, weights)
+    reference_sim = ReferenceKeyphraseSimilarity(store, weights)
     compiled_sim = KeyphraseSimilarity(store, weights, compiled=compiled)
-    reference_kore = KoreRelatedness(store, weights)
+    reference_kore = ReferenceKoreRelatedness(store, weights)
     compiled_kore = KoreRelatedness(store, weights, compiled=compiled)
     entities = set()
     checked = 0
@@ -115,22 +116,3 @@ def test_world_scorers_agree(seeded_world):
 def test_golden_scorers_agree(kb):
     documents = [item.document for item in load_corpus(GOLDEN_CORPUS)]
     _assert_scorers_agree(kb, documents)
-
-
-def test_golden_pipeline_replay_compiled_vs_reference(kb):
-    """Full pipeline on the golden corpus: compiled on == compiled off."""
-    documents = [item.document for item in load_corpus(GOLDEN_CORPUS)]
-    on = AidaDisambiguator(kb, config=AidaConfig.full())
-    off_config = AidaConfig.full()
-    off_config.use_compiled = False
-    off = AidaDisambiguator(kb, config=off_config)
-    assert on.compiled is not None and off.compiled is None
-    for document in documents:
-        got = on.disambiguate(document)
-        want = off.disambiguate(document)
-        for fast, slow in zip(got.assignments, want.assignments):
-            assert fast.mention == slow.mention
-            assert fast.entity == slow.entity
-            assert fast.score == pytest.approx(
-                slow.score, abs=TOLERANCE
-            )

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and
 invariants: triple store, link graph, min-hash, relatedness bounds,
-weights, cover matching, and evaluation measures."""
+weights, cover matching and phrase overlap (the oracles of
+``tests/oracles/``), and evaluation measures."""
 
 import math
 
@@ -12,11 +13,11 @@ from repro.hashing.minhash import MinHasher, jaccard_estimate
 from repro.kb.keyphrases import KeyphraseStore
 from repro.kb.links import LinkGraph
 from repro.kb.triples import TripleStore
-from repro.relatedness.kore import phrase_overlap
 from repro.similarity.context import DocumentContext
-from repro.similarity.keyphrase_match import phrase_cover, score_phrase
 from repro.types import Document
 from repro.weights.model import WeightModel, binary_entropy, joint_entropy
+from tests.oracles.cover import phrase_cover, score_phrase
+from tests.oracles.kore import phrase_overlap
 
 _ids = st.text(
     alphabet="abcdefgh", min_size=1, max_size=4

@@ -1,19 +1,21 @@
-"""Tests for document context, prior, and keyphrase cover matching."""
+"""Tests for document context, prior, and keyphrase cover matching.
+
+``TestPhraseCover`` and ``TestScorePhrase`` pin the string/dict cover
+oracle (``tests/oracles/cover.py``) to the paper's Eq. 3.4 examples; the
+compiled scorer is held to that oracle by the differential suites.
+"""
 
 import pytest
 
 from repro.kb.keyphrases import KeyphraseStore
 from repro.similarity.context import DocumentContext
-from repro.similarity.keyphrase_match import (
-    KeyphraseSimilarity,
-    phrase_cover,
-    score_phrase,
-)
+from repro.similarity.keyphrase_match import KeyphraseSimilarity
 from repro.similarity.prior import PopularityPrior
 from repro.kb.entity import Entity
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.types import Document, Mention
 from repro.weights.model import WeightModel
+from tests.oracles.cover import phrase_cover, score_phrase
 
 
 def _doc(tokens, mentions=()):
