@@ -65,8 +65,16 @@ def _run():
             "time_std": times.stddev,
             "time_q90": times.quantile(0.9),
         }
-        series[name] = sorted(per_doc)
+        series[name] = by_candidate_count(per_doc)
     return results, series
+
+
+def by_candidate_count(per_doc):
+    """``(candidates, elapsed, comparisons)`` rows ordered by candidate
+    count alone.  The sort is stable, so documents with equal counts keep
+    corpus order: measured time never moves a document across a bucket
+    boundary, and the comparison-count series is deterministic."""
+    return sorted(per_doc, key=lambda row: row[0])
 
 
 def _decile_series(per_doc, value_index: int, buckets: int = 5):

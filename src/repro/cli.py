@@ -678,7 +678,6 @@ def cmd_relatedness(args: argparse.Namespace) -> int:
             measure = KoreLshRelatedness(
                 kb.keyphrases, measure, settings, name=name
             )
-            measure.attach_compiled(compiled)
             # The listed entities are the task's candidate set: pairs
             # sharing no stage-two bucket print as 0.0000 uncomputed.
             measure.prepare(args.entities)

@@ -243,7 +243,6 @@ def build_snapshot(
         for gearing in gearings:
             settings, _name = lsh_geometry(GEARINGS[gearing])
             lsh = KoreLshRelatedness(store, kore, settings)
-            lsh.attach_compiled(compiled)
             lsh.precompute()
             sketch_tables[gearing] = lsh.export_sketches()
             lsh_settings[gearing] = {

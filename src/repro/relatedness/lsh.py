@@ -21,9 +21,14 @@ Sharing and state:
   depend only on the static KB, are built once — eagerly via
   :meth:`KoreLshRelatedness.precompute`, which the pipeline runs at
   construction, mirroring the paper's offline stage — and are read-only
-  afterwards, so one measure instance can serve a whole worker pool.  For
-  process pools, :meth:`export_sketches` lets the parent ship the
-  precomputed sketches to workers instead of having each re-sketch the KB.
+  afterwards, so one measure instance can serve a whole worker pool.
+  ``precompute`` makes two calls of the min-hash kernel
+  (:func:`repro.hashing.minhash.minhash_sets`): one over every
+  not-yet-bucketed phrase of the entities it covers, one over all their
+  phrase-bucket-id sets.  An entity outside the table (an emerging-entity
+  placeholder) takes the same path alone.  For process pools,
+  :meth:`export_sketches` lets the parent ship the precomputed sketches
+  to workers instead of having each re-sketch the KB.
 * Stage-two artifacts (the allowed-pair set and the pair cache) are
   *per task* and live in thread-local storage: concurrent batch threads
   each ``prepare()`` their own document's candidate set without clobbering
@@ -34,7 +39,6 @@ from __future__ import annotations
 
 import threading
 import time
-from array import array
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -123,6 +127,11 @@ def lsh_geometry(backend: str) -> Optional[Tuple[LshSettings, str]]:
     if backend == "kore_lsh_f":
         return LshSettings.fast(), "KORE_LSH-F"
     return None
+
+
+def _element_ids(elements: Iterable[str]) -> Dict[str, int]:
+    """:func:`element_id` of each distinct element, hashed once."""
+    return {element: element_id(element) for element in set(elements)}
 
 
 class _OverlaySketches(Mapping):
@@ -230,11 +239,6 @@ class KoreLshRelatedness(EntityRelatedness):
         #: via a ``complete`` attribute), letting :meth:`precompute`
         #: skip the KB-wide stage-one pass entirely.
         self._sketches_complete = bool(getattr(sketches, "complete", False))
-        # Element-id memo for stage-one word hashing; replaced by a flat
-        # array over vocabulary ids when a compiled layer is attached.
-        self._word_eids: Dict[str, int] = {}
-        self._vocab = None
-        self._eid_table: Optional[array] = None
         #: Cumulative pruning statistics across prepare() calls (all
         #: threads), for benchmarks that run without a metrics registry.
         self.prepared_tasks = 0
@@ -266,83 +270,106 @@ class KoreLshRelatedness(EntityRelatedness):
         return self._kore
 
     # ------------------------------------------------------------------
-    # Stage 1: keyphrase grouping (cached per phrase)
+    # Stage 1: keyphrase grouping (cached per phrase); stage-two sketches
     # ------------------------------------------------------------------
-    def attach_compiled(self, compiled) -> None:
-        """Reuse a compiled layer's vocabulary for stage-one hashing.
-
-        Word element ids are then memoized in a flat array indexed by
-        interned word id instead of a per-word dict.  The wrapped exact
-        measure is attached separately (the pipeline walks the ``inner``
-        chain).
-        """
-        vocab = getattr(compiled, "vocabulary", None)
-        if vocab is None or len(vocab) == 0:
-            return
-        self._vocab = vocab
-        self._eid_table = array("q", [-1]) * len(vocab)
-
-    def _word_element_id(self, word: str) -> int:
-        table = self._eid_table
-        if table is not None:
-            wid = self._vocab.id_of(word)
-            if 0 <= wid < len(table):
-                eid = table[wid]
-                if eid < 0:
-                    eid = element_id(word)
-                    table[wid] = eid
-                return eid
-        eid = self._word_eids.get(word)
-        if eid is None:
-            eid = element_id(word)
-            self._word_eids[word] = eid
-        return eid
-
     def _phrase_bucket_ids(self, phrase: Phrase) -> Tuple[str, ...]:
         cached = self._phrase_buckets.get(phrase)
-        if cached is not None:
-            return cached
-        sketch = self._phrase_hasher.sketch_ids(
-            self._word_element_id(word) for word in set(phrase)
+        if cached is None:
+            self._bucket_phrases([phrase])
+            cached = self._phrase_buckets[phrase]
+        return cached
+
+    def _bucket_phrases(self, phrases: Iterable[Phrase]) -> None:
+        """Stage one for every not-yet-bucketed phrase: one kernel call.
+
+        Each phrase is sketched over its word set; its bucket ids are the
+        ``b{band}:{sum of band coordinates}`` strings of its LSH bands.
+        The band sums stay Python ints (``rows`` 61-bit coordinates can
+        overflow uint64).
+        """
+        buckets = self._phrase_buckets
+        pending = [
+            phrase
+            for phrase in dict.fromkeys(phrases)
+            if phrase not in buckets
+        ]
+        if not pending:
+            return
+        word_ids = _element_ids(word for phrase in pending for word in phrase)
+        sketches = self._phrase_hasher.sketch_id_sets(
+            [word_ids[word] for word in set(phrase)] for phrase in pending
         )
-        ids = tuple(
-            f"b{band}:{total}"
-            for band, total in band_signature(
-                sketch,
-                self._settings.phrase_bands,
-                self._settings.phrase_rows,
+        bands = self._settings.phrase_bands
+        rows = self._settings.phrase_rows
+        for phrase, sketch in zip(pending, sketches):
+            buckets[phrase] = tuple(
+                f"b{band}:{total}"
+                for band, total in band_signature(sketch, bands, rows)
             )
+
+    def _bucket_sets(
+        self, entity_ids: List[EntityId]
+    ) -> List[FrozenSet[str]]:
+        """The phrase-bucket-id sets of *entity_ids* (memoized).
+
+        Every phrase of the entities not yet covered goes through one
+        stage-one kernel call.
+        """
+        known = self._entity_bucket_sets
+        pending = {
+            entity_id: self._store.keyphrases(entity_id)
+            for entity_id in entity_ids
+            if entity_id not in known
+        }
+        self._bucket_phrases(
+            phrase for phrases in pending.values() for phrase in phrases
         )
-        self._phrase_buckets[phrase] = ids
-        return ids
+        buckets = self._phrase_buckets
+        for entity_id, phrases in pending.items():
+            known[entity_id] = frozenset(
+                bucket for phrase in phrases for bucket in buckets[phrase]
+            )
+        return [known[entity_id] for entity_id in entity_ids]
+
+    def _sketch_entities(self, entity_ids: List[EntityId]) -> None:
+        """Stage one and two for *entity_ids*, none of them sketched yet.
+
+        Sketches depend only on the entity's (static) keyphrase set, so
+        they are precomputed once — as in the paper, where stage one runs
+        offline over the whole KB.  Stage two is one kernel call over
+        every populated bucket set.  An entity without keyphrases gets
+        the empty sentinel: the uniform maxima sketch would make all such
+        entities collide in every band, admitting O(k²) spurious pairs
+        whose exact relatedness is 0 by definition.
+        """
+        populated = []
+        for entity_id, bucket_set in zip(
+            entity_ids, self._bucket_sets(entity_ids)
+        ):
+            if bucket_set:
+                populated.append((entity_id, bucket_set))
+            else:
+                self._entity_sketches[entity_id] = ()
+        if not populated:
+            return
+        bucket_ids = _element_ids(
+            bucket for _, bucket_set in populated for bucket in bucket_set
+        )
+        sketches = self._entity_hasher.sketch_id_sets(
+            [bucket_ids[bucket] for bucket in bucket_set]
+            for _, bucket_set in populated
+        )
+        for (entity_id, _), sketch in zip(populated, sketches):
+            self._entity_sketches[entity_id] = sketch
 
     def _entity_bucket_set(self, entity_id: EntityId) -> FrozenSet[str]:
-        cached = self._entity_bucket_sets.get(entity_id)
-        if cached is not None:
-            return cached
-        buckets: Set[str] = set()
-        for phrase in self._store.keyphrases(entity_id):
-            buckets.update(self._phrase_bucket_ids(phrase))
-        frozen = frozenset(buckets)
-        self._entity_bucket_sets[entity_id] = frozen
-        return frozen
+        return self._bucket_sets([entity_id])[0]
 
     def _entity_sketch(self, entity_id: EntityId) -> Tuple[int, ...]:
         sketch = self._entity_sketches.get(entity_id)
         if sketch is None:
-            # Sketches depend only on the entity's (static) keyphrase
-            # set, so they are precomputed once — as in the paper,
-            # where stage one runs offline over the whole KB.  An
-            # entity without keyphrases gets the empty sentinel: the
-            # uniform maxima sketch would make all such entities
-            # collide in every band, admitting O(k²) spurious pairs
-            # whose exact relatedness is 0 by definition.
-            bucket_set = self._entity_bucket_set(entity_id)
-            if bucket_set:
-                sketch = self._entity_hasher.sketch(bucket_set)
-            else:
-                sketch = ()
-            self._entity_sketches[entity_id] = sketch
+            self._sketch_entities([entity_id])
+            sketch = self._entity_sketches[entity_id]
         return sketch
 
     def precompute(
@@ -352,7 +379,8 @@ class KoreLshRelatedness(EntityRelatedness):
 
         Idempotent — already-sketched entities are skipped — and meant to
         run once before a measure is shared read-only across workers.
-        Returns the number of entities covered.
+        The entities still to sketch go through two kernel calls, one per
+        stage.  Returns the number of entities covered.
 
         When the measure was constructed over a table that advertises
         whole-KB coverage (``complete = True`` — snapshot tables and
@@ -368,14 +396,17 @@ class KoreLshRelatedness(EntityRelatedness):
             if entity_ids is not None
             else self._store.entity_ids()
         )
-        computed = 0
-        for entity_id in ids:
-            if self._entity_sketches.get(entity_id) is None:
-                self._entity_sketch(entity_id)
-                computed += 1
+        table = self._entity_sketches
+        pending = [
+            entity_id
+            for entity_id in dict.fromkeys(ids)
+            if table.get(entity_id) is None
+        ]
+        if pending:
+            self._sketch_entities(pending)
         metrics = get_metrics()
         if metrics.enabled:
-            metrics.counter("relatedness.lsh.sketched").inc(computed)
+            metrics.counter("relatedness.lsh.sketched").inc(len(pending))
             metrics.histogram("relatedness.lsh.precompute_ms").observe(
                 (time.perf_counter() - start) * 1000.0
             )

@@ -73,6 +73,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Content Too Large",
+    414: "URI Too Long",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
@@ -92,6 +93,19 @@ class _RequestRejected(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
+
+
+async def _read_line(
+    reader: asyncio.StreamReader, status: int, what: str
+) -> bytes:
+    """One line; a line over the reader's limit is rejected with *status*.
+
+    ``StreamReader.readline`` raises ``ValueError`` for such a line.
+    """
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise _RequestRejected(status, f"{what} exceeds the line limit")
 
 
 class ServingFailure(ReproError):
@@ -693,9 +707,12 @@ class DisambiguationServer:
         reader: asyncio.StreamReader,
     ) -> Tuple[str, str, bytes]:
         """``(method, path, body)``; raises :class:`_RequestRejected` for
-        a malformed request line or length (400), too many header lines
-        (431) or a declared body above :data:`MAX_BODY_BYTES` (413)."""
-        request_line = await reader.readline()
+        a malformed request line or length or a body shorter than its
+        ``Content-Length`` (400), a request line longer than the stream
+        reader's line limit (414), too many header lines or one over the
+        line limit (431), or a declared body above :data:`MAX_BODY_BYTES`
+        (413)."""
+        request_line = await _read_line(reader, 414, "request line")
         parts = request_line.decode("latin-1").split()
         if len(parts) != 3:
             raise _RequestRejected(400, "malformed request")
@@ -703,7 +720,7 @@ class DisambiguationServer:
         content_length = 0
         header_lines = 0
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader, 431, "header line")
             if line in (b"\r\n", b"\n", b""):
                 break
             header_lines += 1
@@ -727,7 +744,14 @@ class DisambiguationServer:
             )
         body = b""
         if content_length > 0:
-            body = await reader.readexactly(content_length)
+            try:
+                body = await reader.readexactly(content_length)
+            except asyncio.IncompleteReadError as exc:
+                raise _RequestRejected(
+                    400,
+                    f"body ended after {len(exc.partial)} of "
+                    f"{content_length} bytes",
+                )
         return method, path, body
 
     @staticmethod

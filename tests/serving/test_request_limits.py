@@ -2,9 +2,11 @@
 
 A declared body above ``MAX_BODY_BYTES`` answers 413 before any of it is
 read, so a client that declares a large body and sends nothing gets its
-answer at once; a negative ``Content-Length`` answers 400; more than
-``MAX_HEADER_LINES`` header lines answer 431.  Every parse-level
-rejection carries a minted ``request_id``, as other error bodies do.
+answer at once; a negative ``Content-Length`` or a body cut short of it
+answers 400; more than ``MAX_HEADER_LINES`` header lines, or one header
+line over the stream reader's 64 KiB line limit, answer 431; a request
+line over that limit answers 414.  Every parse-level rejection carries a
+minted ``request_id``, as other error bodies do.
 """
 
 from __future__ import annotations
@@ -19,16 +21,22 @@ from tests.serving.conftest import drive, make_server
 #: An answer that waits for the declared body would hit this instead.
 ANSWER_TIMEOUT_S = 5.0
 
+#: Longer than the stream reader's default 64 KiB line limit.
+OVERLONG = 70_000
 
-async def _exchange(port: int, raw: bytes):
+
+async def _exchange(port: int, raw: bytes, eof: bool = False):
     """Send *raw*, keep the socket open, and read the whole answer.
 
-    Returns ``(status, json_body)``.
+    With *eof*, half-close the sending side after *raw* (the client has
+    nothing more to send).  Returns ``(status, json_body)``.
     """
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
         writer.write(raw)
         await writer.drain()
+        if eof:
+            writer.write_eof()
         answer = await asyncio.wait_for(reader.read(), ANSWER_TIMEOUT_S)
     finally:
         writer.close()
@@ -115,3 +123,38 @@ def test_malformed_request_line_carries_a_request_id(serving_pipeline, kb):
     answer = drive(server, driver)
     _assert_rejected(answer, 400)
     assert answer[1]["error"] == "malformed request"
+
+
+def test_overlong_header_line_answers_431(serving_pipeline, kb):
+    server = make_server(serving_pipeline, kb=kb)
+    raw = _request("X-Long: " + "a" * OVERLONG, "Content-Length: 0")
+
+    async def client(server):
+        return await _exchange(server.port, raw)
+
+    _assert_rejected(drive(server, client), 431)
+
+
+def test_overlong_request_line_answers_414(serving_pipeline, kb):
+    server = make_server(serving_pipeline, kb=kb)
+    raw = (
+        f"GET /healthz?{'a' * OVERLONG} HTTP/1.1\r\n\r\n"
+    ).encode("latin-1")
+
+    async def client(server):
+        return await _exchange(server.port, raw)
+
+    _assert_rejected(drive(server, client), 414)
+
+
+def test_body_shorter_than_content_length_answers_400(serving_pipeline, kb):
+    server = make_server(serving_pipeline, kb=kb)
+    raw = _request("Content-Length: 100") + b'{"text": "'
+
+    async def client(server):
+        # The client stops after 10 of the 100 declared bytes.
+        return await _exchange(server.port, raw, eof=True)
+
+    answer = drive(server, client)
+    _assert_rejected(answer, 400)
+    assert "10 of 100" in answer[1]["error"]
