@@ -5,8 +5,8 @@ Runs the full AIDA pipeline over the frozen golden corpus
 regression fixture) under three coherence backends — exact KORE,
 KORE_LSH-G (recall-geared) and KORE_LSH-F (speed-geared) — and reports
 the frontier: pairwise comparisons computed, disambiguation accuracy,
-and wall time.  Comparisons are counted per document (each measure's
-pair cache is reset between documents), the quantity Table 4.4 reports.
+and wall time.  Comparisons are counted per document (the pipeline's
+memo is cleared between documents), the quantity Table 4.4 reports.
 
 Also runs the zero-fault chaos differential: a ``rate=0.0`` fault spec
 at the ``relatedness`` site counts calls without injecting, confirming
@@ -46,6 +46,7 @@ from repro.datagen.wikipedia import build_world_kb
 from repro.datagen.world import World, WorldConfig
 from repro.eval.runner import run_disambiguator
 from repro.faults import FaultInjector, FaultSpec, injected
+from repro.relatedness.caching import CachingRelatedness
 
 #: Same seeds as tests/fixtures/golden/generate.py and tests/conftest.py.
 WORLD_SEED = 7
@@ -89,13 +90,11 @@ def golden_documents():
 
 
 class _PerDocumentComparisons:
-    """Pipeline shim resetting the measure's pair cache per document.
+    """Pipeline shim clearing the pipeline's memo per document.
 
-    Without the reset, exact KORE would amortize repeated cross-document
-    pairs through its instance cache while the LSH wrapper (whose
-    ``prepare`` clears its task cache) would not — the per-document
-    reset makes the comparison counts symmetric and per-document, the
-    way Table 4.4 counts them.
+    Without the reset, every backend would amortize pairs repeated
+    across documents through the memo — the per-document reset makes
+    the comparison counts per-document, the way Table 4.4 counts them.
     """
 
     def __init__(self, pipeline: AidaDisambiguator):
@@ -134,7 +133,7 @@ def run_frontier(doc_limit: Optional[int] = None) -> List[Dict[str, object]]:
         run = run_disambiguator(shim, documents, kb=kb)
         elapsed = time.perf_counter() - start
         comparisons = shim.total_comparisons()
-        measure = pipeline.relatedness
+        measure = pipeline.relatedness.inner
         if backend == "kore":
             exact_comparisons = comparisons
             exact_micro = run.micro
@@ -176,15 +175,12 @@ def run_chaos_differential() -> Dict[str, object]:
             for entity in kb.candidates(mention.surface)
         }
     )
-    measure.prepare(entities)
     injector = FaultInjector([FaultSpec(site="relatedness", rate=0.0)])
-    surviving = 0
     with injected(injector):
-        for i, a in enumerate(entities):
-            for b in entities[i + 1 :]:
-                measure.relatedness(a, b)
-                if measure.should_compare(a, b):
-                    surviving += 1
+        _edges, survivors = CachingRelatedness(measure).coherence_edges(
+            entities
+        )
+    surviving = len(survivors)
     stats = injector.stats().get("relatedness", {"calls": 0, "injected": 0})
     return {
         "candidate_entities": len(entities),

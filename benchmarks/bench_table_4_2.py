@@ -41,7 +41,6 @@ def _run():
         overall: List[float] = []
         for seed in gold.seeds:
             candidates = list(seed.ranked_candidates)
-            measure.prepare([seed.seed] + candidates)
             ranked = measure.rank_candidates(seed.seed, candidates)
             rho = spearman(candidates, ranked)
             per_domain.setdefault(seed.domain, []).append(rho)

@@ -71,12 +71,12 @@ def main() -> None:
     ):
         inner = KoreRelatedness(kb.keyphrases, weights)
         lsh = KoreLshRelatedness(kb.keyphrases, inner, settings, name=label)
-        lsh.prepare(pool)
+        surviving = len(lsh.candidate_pairs(pool))
         total_pairs = len(pool) * (len(pool) - 1) // 2
         print(
-            f"\n{label}: {lsh.allowed_pair_count} of {total_pairs} pairs "
+            f"\n{label}: {surviving} of {total_pairs} pairs "
             f"survive pre-clustering "
-            f"({100 * lsh.allowed_pair_count / total_pairs:.1f}%)"
+            f"({100 * surviving / total_pairs:.1f}%)"
         )
 
 

@@ -21,6 +21,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.relatedness.base import EntityRelatedness
+from repro.relatedness.caching import memoized
 from repro.relatedness.milne_witten import MilneWittenRelatedness
 from repro.similarity.context import DocumentContext
 from repro.types import (
@@ -62,7 +63,8 @@ class KulkarniDisambiguator:
         self.restarts = restarts
         self.iterations = iterations
         self.seed = seed
-        self.relatedness = (
+        #: One memo of exact values: a pair is looked up more than once.
+        self.relatedness = memoized(
             relatedness
             if relatedness is not None
             else MilneWittenRelatedness(kb.links, max(kb.entity_count, 2))

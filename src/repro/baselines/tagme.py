@@ -10,10 +10,15 @@ profile.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.kb.knowledge_base import KnowledgeBase
-from repro.relatedness.base import EntityRelatedness
+from repro.relatedness.base import (
+    EntityRelatedness,
+    Pair,
+    filtered_relatedness,
+)
+from repro.relatedness.caching import memoized
 from repro.relatedness.milne_witten import MilneWittenRelatedness
 from repro.types import (
     DisambiguationResult,
@@ -35,7 +40,8 @@ class TagmeDisambiguator:
     ):
         self.kb = kb
         self.prior_weight = prior_weight
-        self.relatedness = (
+        #: One memo of exact values: a pair is looked up more than once.
+        self.relatedness = memoized(
             relatedness
             if relatedness is not None
             else MilneWittenRelatedness(kb.links, max(kb.entity_count, 2))
@@ -67,8 +73,8 @@ class TagmeDisambiguator:
             priors[index] = {
                 eid: self.kb.prior(mention.surface, eid) for eid in pool
             }
-        self.relatedness.prepare(
-            sorted({eid for pool in candidates.values() for eid in pool})
+        survivors = self.relatedness.candidate_pairs(
+            {eid for pool in candidates.values() for eid in pool}
         )
         assignments: List[MentionAssignment] = []
         for index in indices:
@@ -82,7 +88,7 @@ class TagmeDisambiguator:
                 )
                 continue
             scores = {
-                eid: self._score(eid, index, candidates, priors)
+                eid: self._score(eid, index, candidates, priors, survivors)
                 for eid in pool
             }
             best = max(sorted(scores), key=lambda e: scores[e])
@@ -104,6 +110,7 @@ class TagmeDisambiguator:
         mention_index: int,
         candidates: Mapping[int, List[EntityId]],
         priors: Mapping[int, Dict[EntityId, float]],
+        survivors: Optional[Set[Pair]],
     ) -> float:
         votes = 0.0
         voters = 0
@@ -111,7 +118,9 @@ class TagmeDisambiguator:
             if other_index == mention_index or not pool:
                 continue
             vote = sum(
-                self.relatedness.relatedness(entity_id, voter)
+                filtered_relatedness(
+                    self.relatedness, survivors, entity_id, voter
+                )
                 * priors[other_index].get(voter, 0.0)
                 for voter in pool
             ) / len(pool)

@@ -15,6 +15,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.relatedness.base import EntityRelatedness
+from repro.relatedness.caching import memoized
 from repro.relatedness.jaccard import InlinkJaccardRelatedness
 from repro.similarity.context import DocumentContext
 from repro.types import (
@@ -42,7 +43,8 @@ class WikifierDisambiguator:
         self.prior_weight = prior_weight
         self.sim_weight = sim_weight
         self.coherence_weight = coherence_weight
-        self.relatedness = (
+        #: One memo of exact values: a pair is looked up more than once.
+        self.relatedness = memoized(
             relatedness
             if relatedness is not None
             else InlinkJaccardRelatedness(kb.links)

@@ -88,6 +88,7 @@ from repro.relatedness import (
     KoreRelatedness,
     MilneWittenRelatedness,
 )
+from repro.relatedness.base import filtered_relatedness
 from repro.relatedness.lsh import lsh_geometry
 from repro.text.tokenizer import tokenize
 from repro.types import Document
@@ -149,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
             "embedding",
         ),
         default="kore",
-        help="relatedness measure; the kore_lsh_* variants prepare the "
+        help="relatedness measure; the kore_lsh_* variants run the "
         "two-stage LSH over the listed entities and prune non-colliding "
         "pairs to 0; 'embedding' trains (or reuses) the joint embedding "
         "space and scores pairs by entity-vector cosine",
@@ -204,11 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor", choices=("thread", "process"), default="thread",
         help="worker pool kind for --workers > 1 (process workers "
         "each load their own KB copy)",
-    )
-    evaluate.add_argument(
-        "--cache-relatedness", action="store_true",
-        help="share one relatedness memo across documents and threads "
-        "and print its hit/miss statistics",
     )
     _add_relatedness_argument(evaluate)
     _add_prerank_arguments(evaluate)
@@ -443,7 +439,6 @@ def _pipeline_spec(args: argparse.Namespace) -> PipelineSpec:
             ),
             kb_dir=args.kb,
             snapshot=getattr(args, "snapshot", None),
-            cache_relatedness=getattr(args, "cache_relatedness", False),
         )
     except ConfigurationError as exc:
         raise SystemExit(f"error: {exc}")
@@ -678,13 +673,15 @@ def cmd_relatedness(args: argparse.Namespace) -> int:
             measure = KoreLshRelatedness(
                 kb.keyphrases, measure, settings, name=name
             )
-            # The listed entities are the task's candidate set: pairs
-            # sharing no stage-two bucket print as 0.0000 uncomputed.
-            measure.prepare(args.entities)
     entities: List[str] = args.entities
+    # The listed entities are the task's candidate set: pairs the
+    # measure's filter removes (no shared LSH bucket) print as 0.0000
+    # uncomputed.
+    survivors = measure.candidate_pairs(entities)
     for i, a in enumerate(entities):
         for b in entities[i + 1 :]:
-            print(f"{a}  {b}  {measure.relatedness(a, b):.4f}")
+            value = filtered_relatedness(measure, survivors, a, b)
+            print(f"{a}  {b}  {value:.4f}")
     return 0
 
 
@@ -732,11 +729,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     obs = _ObsSession(args)
     chaos = _InjectorSession(args)
-    # The cache summary sums the relatedness.cache.* counters of every
-    # cache that did the work, process workers' included: needs metrics.
-    own_metrics = None
-    if args.cache_relatedness and not get_metrics().enabled:
-        own_metrics = set_metrics(MetricsRegistry())
     try:
         documents = load_corpus(args.corpus)
         spec = _pipeline_spec(args)
@@ -776,20 +768,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         print(f"micro accuracy: {100 * run.micro:.2f}%")
         print(f"macro accuracy: {100 * run.macro:.2f}%")
         print(f"MAP:            {100 * run.map:.2f}%")
-        if args.cache_relatedness:
-            counters = get_metrics().snapshot()["counters"]
-            hits, misses = (
-                counters.get(f"relatedness.cache.{key}", 0)
-                for key in ("hits", "misses")
-            )
-            print(
-                f"relatedness cache: {hits} hits, {misses} misses "
-                f"({100 * hits / max(hits + misses, 1):.1f}% hit rate)"
-            )
+        # Every document counts its own memo lookups, process workers'
+        # included (the counters ride back on each result).
+        counters = run.stats.counters if run.stats is not None else {}
+        pairs = counters.get("relatedness_pairs", 0)
+        misses = counters.get("relatedness_computed", 0)
+        hits = pairs - misses
+        print(
+            f"relatedness memo: {hits} hits, {misses} misses "
+            f"({100 * hits / max(pairs, 1):.1f}% hit rate)"
+        )
         return 0
     finally:
-        if own_metrics is not None:
-            set_metrics(own_metrics)
         chaos.finish()
         obs.finish()
 

@@ -11,28 +11,26 @@ provides the batch layer:
   back in input order regardless of completion order) and **per-document
   error isolation** (a failing document yields a recorded
   :class:`DocumentFailure`, never a crashed run).
-* Worker pipelines share pairwise relatedness work through a
-  :class:`~repro.relatedness.caching.CachingRelatedness` passed to the
-  ``pipeline_factory`` closure (thread mode) — see
+* Worker pipelines share pairwise relatedness work through the
+  pipeline's one :class:`~repro.relatedness.caching.CachingRelatedness`
+  memo (thread mode: one shared pipeline, or a ``pipeline_factory``
+  closing over one memo) — see
   :func:`repro.eval.runner.run_disambiguator` for the canonical wiring.
 
 Pipeline sharing rules:
 
 * ``executor="serial"`` and ``executor="thread"`` can reuse one
-  ``pipeline`` instance.  A shared pipeline is safe for *results* under
-  threads only if its relatedness measure is thread-safe — wrap it in
-  :class:`CachingRelatedness`.  The LSH measures keep their per-task
-  ``prepare`` state (allowed pairs, pair cache) in thread-local storage
+  ``pipeline`` instance.  A pipeline keeps no per-document state on
+  shared objects: its memo holds exact values only, and the LSH
+  measures' stage two is a pure function of a document's entity set
   over a read-only KB-wide sketch table, so one instance serves
-  concurrent documents; only their pruned zeros are excluded from shared
-  memoization (see ``cacheable_pair``).  Prefer ``pipeline_factory``:
-  each worker thread lazily builds its own pipeline, and the factory
-  closes over whatever should be shared (the KB, a caching relatedness
-  wrapper, a precomputed sketch table).
+  concurrent documents.  A ``pipeline_factory`` lets each worker thread
+  lazily build its own pipeline; the factory closes over whatever should
+  be shared (the KB, a memo, a precomputed sketch table).
 * ``executor="process"`` requires a *picklable* ``pipeline_factory``
   (a module-level callable or a :class:`~repro.core.spec.PipelineSpec`);
   each worker process builds its pipeline once in the pool initializer.
-  Processes cannot share a relatedness cache.
+  Processes cannot share a memo.
 """
 
 from __future__ import annotations
@@ -174,8 +172,6 @@ class BatchOutcome:
     )
     failures: List[DocumentFailure] = field(default_factory=list)
     wall_seconds: float = 0.0
-    #: Snapshot of the shared relatedness cache, when one was observable.
-    cache_stats: Optional[Dict[str, object]] = None
     #: Merged per-document :class:`~repro.utils.timing.PipelineStats`
     #: totals across every worker — thread *and* process executors (the
     #: per-worker counters ride back on each pickled result).
@@ -478,7 +474,6 @@ class BatchRunner:
                     )
         outcome.failures.sort(key=lambda failure: failure.index)
         outcome.wall_seconds = time.perf_counter() - start
-        outcome.cache_stats = self._observe_cache()
         outcome.stats = PipelineStats.merge(
             result.stats
             for result in outcome.results
@@ -579,11 +574,3 @@ class BatchRunner:
                     else:
                         outcome.results[index] = result
         queue_depth.set(0)
-
-    def _observe_cache(self) -> Optional[Dict[str, object]]:
-        """Cache counters of the explicit pipeline's measure, if caching."""
-        relatedness = getattr(self._pipeline, "relatedness", None)
-        stats = getattr(relatedness, "cache_stats", None)
-        if callable(stats):
-            return stats().as_dict()
-        return None

@@ -15,6 +15,11 @@ Stages, per document:
    that are candidates of different mentions), rescaled and γ-balanced;
 6. the greedy dense-subgraph algorithm selects one entity per mention.
 
+Each document is one pass: its context is indexed once, and its
+coherence edges come from one ``coherence_edges`` call on the pipeline's
+memo.  The graph lists mentions in span order, so answers do not depend
+on the order of the mention list.
+
 The pipeline also exposes the hooks Chapter 5 needs: restricting to a
 mention subset, force-mapping mentions to chosen entities (both used by the
 perturbation confidence assessors), injecting extra candidates (the
@@ -39,7 +44,12 @@ from repro.graph.mention_entity_graph import MentionEntityGraph
 from repro.kb.keyphrases import KeyphraseStore
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.obs import get_metrics, get_tracer, log_event
-from repro.relatedness.base import EntityRelatedness
+from repro.relatedness.base import (
+    EntityRelatedness,
+    Pair,
+    filtered_relatedness,
+)
+from repro.relatedness.caching import memoized
 from repro.relatedness.milne_witten import MilneWittenRelatedness
 from repro.similarity.context import DocumentContext
 from repro.similarity.keyphrase_match import KeyphraseSimilarity
@@ -55,6 +65,10 @@ from repro.utils.timing import PipelineStats, Stopwatch
 from repro.weights.model import WeightModel
 
 _LOG = logging.getLogger("repro.pipeline")
+
+#: One document's coherence pass: the edge map and the filter survivors
+#: (None when the measure compares every pair).
+Coherence = Tuple[Dict[Pair, float], Optional[Set[Pair]]]
 
 
 class AidaDisambiguator:
@@ -90,7 +104,9 @@ class AidaDisambiguator:
             from repro.embeddings import shared_model
 
             self.embeddings = shared_model(kb)
-        self.relatedness = (
+        #: The pipeline's one memo of exact pair values (shared with its
+        #: rungs, and with a batch run that passes one in).
+        self.relatedness = memoized(
             relatedness
             if relatedness is not None
             else self.build_relatedness(
@@ -152,7 +168,8 @@ class AidaDisambiguator:
 
     def with_config(self, config: AidaConfig) -> "AidaDisambiguator":
         """This pipeline under another configuration (a degradation rung),
-        sharing every model: nothing is rebuilt or retrained."""
+        sharing every model and the relatedness memo: nothing is rebuilt,
+        retrained or recomputed."""
         return type(self)(
             self.kb,
             relatedness=self.relatedness,
@@ -218,8 +235,8 @@ class AidaDisambiguator:
         return chain
 
     def _attach_compiled_relatedness(self, compiled) -> None:
-        """Point compilable measures (KORE and the LSH wrapper, possibly
-        cache-wrapped) at the compiled models; others are untouched."""
+        """Point compilable measures (KORE, possibly inside the LSH
+        wrapper) at the compiled models; others are untouched."""
         for measure in self._relatedness_chain():
             if (
                 hasattr(measure, "attach_compiled")
@@ -270,6 +287,7 @@ class AidaDisambiguator:
         watch = Stopwatch()
         tracer = get_tracer()
         debug = _LOG.isEnabledFor(logging.DEBUG)
+        hits_before, misses_before = self.relatedness.thread_counts()
 
         def stage(name: str):
             return self._stage(
@@ -319,23 +337,28 @@ class AidaDisambiguator:
             if prerank_pruned is not None:
                 counters["prerank_pruned"] = prerank_pruned
                 counters["prerank_survived"] = prerank_survived
+            coherence: Optional[Coherence] = None
+            pruned = 0  # pairs the measure's filter removed
             if self.config.use_coherence:
                 with stage("graph_build"):
-                    graph = self._build_graph(
+                    order, graph, coherence = self._build_graph(
                         mentions,
                         active,
                         pool,
                         edge_weights,
                         entity_edge_factor,
                     )
-                counters["graph_entities"] = graph.entity_count()
+                entities = counters["graph_entities"] = graph.entity_count()
+                if coherence[1] is not None:
+                    pruned = entities * (entities - 1) // 2
+                    pruned -= len(coherence[1])
                 solver_stats = SolverStats()
                 with stage("solve"):
                     local_assignment = self._solver.solve(
                         graph, solver_stats
                     )
                 assignment = {
-                    active[local]: entity_id
+                    order[local]: entity_id
                     for local, entity_id in local_assignment.items()
                 }
                 for key, value in solver_stats.as_dict().items():
@@ -354,8 +377,14 @@ class AidaDisambiguator:
                     candidates,
                     edge_weights,
                     assignment,
+                    coherence,
                 )
-        self._record_cache_counters(counters)
+        hits, misses = self.relatedness.thread_counts()
+        counters["relatedness_pairs"] = (
+            hits + misses - hits_before - misses_before
+        )
+        counters["relatedness_computed"] = misses - misses_before
+        counters["relatedness_pruned"] = pruned
         stats = PipelineStats.from_stopwatch(watch, counters)
         result.stats = stats
         self._publish_observations(stats, document.doc_id, debug)
@@ -409,6 +438,14 @@ class AidaDisambiguator:
                 metrics.counter("pipeline.prerank.survived").inc(
                     int(stats.counters["prerank_survived"])
                 )
+            computed = int(stats.counters["relatedness_computed"])
+            metrics.counter("relatedness.cache.hits").inc(
+                int(stats.counters["relatedness_pairs"]) - computed
+            )
+            metrics.counter("relatedness.cache.misses").inc(computed)
+            metrics.gauge("relatedness.cache.size").set(
+                self.relatedness.size
+            )
             metrics.histogram("pipeline.document.seconds").observe(
                 stats.total_seconds
             )
@@ -425,15 +462,6 @@ class AidaDisambiguator:
                 candidates=stats.counters.get("candidates", 0),
                 seconds=stats.total_seconds,
             )
-
-    def _record_cache_counters(self, counters: Dict[str, object]) -> None:
-        """Surface shared relatedness-cache counters (cumulative across
-        documents when the measure is a ``CachingRelatedness``)."""
-        stats = getattr(self.relatedness, "cache_stats", None)
-        if not callable(stats):
-            return
-        for key, value in stats().as_dict().items():
-            counters[f"relatedness_cache_{key}"] = value
 
     # ------------------------------------------------------------------
     # Candidate retrieval
@@ -496,6 +524,9 @@ class AidaDisambiguator:
         commensurable with the prior probability inside the linear edge
         combination; the graph rescales both families again afterwards.
 
+        The document is indexed once; each mention scores against the
+        index's ``masked`` view, without the mention's own tokens.
+
         Under the pure prior baseline (``PriorMode.ONLY`` without
         coherence) similarity scores are never consumed — neither by the
         edge weights nor by the coherence test — so their computation is
@@ -510,6 +541,7 @@ class AidaDisambiguator:
         features: Dict[
             int, Tuple[Dict[EntityId, float], Dict[EntityId, float]]
         ] = {}
+        indexed = None
         for index in active:
             pool = candidates[index]
             if not pool:
@@ -519,10 +551,12 @@ class AidaDisambiguator:
             if needs_similarity:
                 if injector.enabled:
                     injector.fire("similarity")
-                context = DocumentContext(
-                    document, exclude_mention=mentions[index]
-                )
-                sims = self.similarity.simscores(context, pool)
+                if indexed is None:
+                    indexed = self.similarity.index(
+                        DocumentContext(document)
+                    )
+                view = indexed.masked(mentions[index])
+                sims = self.similarity.simscores(view, pool)
                 if self.config.normalize_similarity:
                     max_sim = max(sims.values()) if sims else 0.0
                     if max_sim > 0.0:
@@ -635,12 +669,17 @@ class AidaDisambiguator:
         pool: Mapping[int, List[EntityId]],
         edge_weights: Mapping[int, Dict[EntityId, float]],
         entity_edge_factor: Optional[Mapping[EntityId, float]],
-    ) -> MentionEntityGraph:
-        graph = MentionEntityGraph([mentions[i] for i in active])
-        index_of = {original: local for local, original in enumerate(active)}
+    ) -> Tuple[List[int], MentionEntityGraph, Coherence]:
+        """The mention indices in graph (span) order, the graph, and the
+        document's coherence pass.  Span order makes the solver's
+        tie-breaks independent of the mention list order."""
+        order = sorted(
+            active,
+            key=lambda index: (mentions[index].start, mentions[index].end),
+        )
+        graph = MentionEntityGraph([mentions[i] for i in order])
         entity_mentions: Dict[EntityId, Set[int]] = {}
-        for original in active:
-            local = index_of[original]
+        for local, original in enumerate(order):
             for entity_id in pool[original]:
                 graph.add_mention_entity_edge(
                     local,
@@ -648,23 +687,23 @@ class AidaDisambiguator:
                     edge_weights[original].get(entity_id, 0.0),
                 )
                 entity_mentions.setdefault(entity_id, set()).add(local)
-        entities = sorted(entity_mentions)
-        self.relatedness.prepare(entities)
-        for i, a in enumerate(entities):
-            for b in entities[i + 1 :]:
-                if entity_mentions[a] == entity_mentions[b] and len(
-                    entity_mentions[a]
-                ) == 1:
-                    # Mutually exclusive candidates of one mention: no
-                    # coherence edge (Section 4.6.4).
-                    continue
-                weight = self.relatedness.relatedness(a, b)
-                if weight > 0.0:
-                    graph.add_entity_entity_edge(a, b, weight)
+        # Candidates of one and the same single mention are mutually
+        # exclusive: no coherence edge between them (Section 4.6.4).
+        sole_mention = {
+            entity_id: next(iter(of_entity))
+            for entity_id, of_entity in entity_mentions.items()
+            if len(of_entity) == 1
+        }
+        coherence = self.relatedness.coherence_edges(
+            entity_mentions, sole_mention
+        )
+        for (a, b), weight in coherence[0].items():
+            if weight > 0.0:
+                graph.add_entity_entity_edge(a, b, weight)
         graph.rescale_and_balance(self.config.gamma)
         if entity_edge_factor:
             self._dampen_entities(graph, entity_edge_factor)
-        return graph
+        return order, graph, coherence
 
     @staticmethod
     def _dampen_entities(
@@ -695,6 +734,7 @@ class AidaDisambiguator:
         candidates: Mapping[int, List[EntityId]],
         edge_weights: Mapping[int, Dict[EntityId, float]],
         assignment: Mapping[int, EntityId],
+        coherence: Optional[Coherence],
     ) -> DisambiguationResult:
         chosen_by_index = dict(assignment)
         assignments: List[MentionAssignment] = []
@@ -715,7 +755,7 @@ class AidaDisambiguator:
                     key=lambda eid: (edge_weights[index].get(eid, 0.0), eid),
                 )
             scores = self._candidate_scores(
-                index, pool, edge_weights, chosen_by_index
+                index, pool, edge_weights, chosen_by_index, coherence
             )
             assignments.append(
                 MentionAssignment(
@@ -735,6 +775,7 @@ class AidaDisambiguator:
         pool: Sequence[EntityId],
         edge_weights: Mapping[int, Dict[EntityId, float]],
         assignment: Mapping[int, EntityId],
+        coherence: Optional[Coherence],
     ) -> Dict[EntityId, float]:
         """Weighted-degree scores for every candidate of a mention.
 
@@ -753,12 +794,23 @@ class AidaDisambiguator:
         scores: Dict[EntityId, float] = {}
         for entity_id in pool:
             score = edge_weights[index].get(entity_id, 0.0)
-            if self.config.use_coherence:
-                coherence = sum(
-                    self.relatedness.relatedness(entity_id, other)
+            if coherence is not None:
+                score += self.config.gamma * sum(
+                    self._pair_value(coherence, entity_id, other)
                     for other in others
                     if other != entity_id
                 )
-                score += self.config.gamma * coherence
             scores[entity_id] = score
         return scores
+
+    def _pair_value(
+        self, coherence: Coherence, a: EntityId, b: EntityId
+    ) -> float:
+        """The pair's coherence edge; a pair missing there (a candidate
+        the coherence test removed, or two of one mention) goes through
+        the memo unless the measure's filter removed it (0.0)."""
+        edges, survivors = coherence
+        value = edges.get((a, b) if a <= b else (b, a))
+        if value is None:
+            value = filtered_relatedness(self.relatedness, survivors, a, b)
+        return value

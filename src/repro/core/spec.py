@@ -15,7 +15,6 @@ from typing import Optional, Tuple
 from repro.core.config import AidaConfig
 from repro.core.pipeline import AidaDisambiguator
 from repro.errors import ConfigurationError, KnowledgeBaseError
-from repro.relatedness.caching import CachingRelatedness
 from repro.relatedness.lsh import (
     LshSettings,
     cached_sketch_export,
@@ -27,9 +26,9 @@ from repro.weights.model import WeightModel
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    """Everything a pipeline is built from: the complete config, exactly
-    one source and the relatedness-cache setting.  Calling a spec is
-    :meth:`build`, so it is also a picklable pipeline factory.
+    """Everything a pipeline is built from: the complete config and
+    exactly one source.  Calling a spec is :meth:`build`, so it is also
+    a picklable pipeline factory.
 
     On a KB directory with an LSH backend, a build caches the whole-KB
     sketch table process-wide and a pickled spec carries it along, so
@@ -41,8 +40,6 @@ class PipelineSpec:
     kb_dir: Optional[str] = None
     #: ... or a snapshot image (``repro snapshot build`` output).
     snapshot: Optional[str] = None
-    #: Share one relatedness memo across documents and threads.
-    cache_relatedness: bool = False
 
     def __post_init__(self) -> None:
         if (self.kb_dir is None) == (self.snapshot is None):
@@ -73,9 +70,7 @@ class PipelineSpec:
 
             kb = load_knowledge_base(self.kb_dir)
             parts = {"sketches": cached_sketch_export(*key) if key else None}
-        pipeline = assemble_pipeline(
-            kb, config, cache_relatedness=self.cache_relatedness, **parts
-        )
+        pipeline = assemble_pipeline(kb, config, **parts)
         if key and parts["sketches"] is None:
             chain = pipeline._relatedness_chain()
             lsh = next(m for m in chain if hasattr(m, "export_sketches"))
@@ -114,7 +109,6 @@ def assemble_pipeline(
     kb,
     config: AidaConfig,
     *,
-    cache_relatedness: bool = False,
     sketches=None,
     keyphrase_store=None,
     weight_model=None,
@@ -122,10 +116,10 @@ def assemble_pipeline(
     embedding_model=None,
 ) -> AidaDisambiguator:
     """The assembly both sources share: the relatedness measure over
-    *sketches* (an LSH table or None), in a :class:`CachingRelatedness`
-    when *cache_relatedness* is set.  Models passed in (a snapshot's
-    facades) are used as given; the rest are built from *kb* as the
-    :class:`AidaDisambiguator` constructor does.
+    *sketches* (an LSH table or None), which the pipeline wraps in its
+    memo.  Models passed in (a snapshot's facades) are used as given;
+    the rest are built from *kb* as the :class:`AidaDisambiguator`
+    constructor does.
     """
     if keyphrase_store is None:
         keyphrase_store = kb.keyphrases
@@ -139,8 +133,6 @@ def assemble_pipeline(
         sketches=sketches,
         embeddings=embedding_model,
     )
-    if cache_relatedness:
-        relatedness = CachingRelatedness(relatedness)
     return AidaDisambiguator(
         kb,
         relatedness=relatedness,

@@ -56,6 +56,11 @@ class EmbeddingSimilarity:
         self._query_cache = (context, query)
         return query
 
+    def index(self, context: DocumentContext) -> DocumentContext:
+        """The form ``simscores`` takes a context in: the context itself
+        (its ``masked`` view rebuilds it without a mention)."""
+        return context
+
     def simscore(
         self, context: DocumentContext, entity_id: EntityId
     ) -> float:
@@ -78,9 +83,9 @@ class EmbeddingSimilarity:
 class EmbeddingRelatedness(EntityRelatedness):
     """Entity-entity coherence as embedding cosine, clamped to [0, 1].
 
-    Task-independent (no ``prepare`` state), so every pair is cacheable
-    by the cross-document memo; negative cosines clamp to 0 — "unrelated",
-    matching the other measures' floor.
+    Every pair is compared (no ``candidate_pairs`` filter); negative
+    cosines clamp to 0 — "unrelated", matching the other measures'
+    floor.
     """
 
     name = "EMB"

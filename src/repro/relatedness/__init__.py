@@ -7,9 +7,12 @@
 * :class:`KoreRelatedness` — keyphrase overlap relatedness (Eq. 4.3–4.4).
 * :class:`KoreLshRelatedness` — KORE accelerated by two-stage min-hash/LSH
   pre-clustering (Section 4.4.2), in recall-geared (G) and fast (F) settings.
-* :class:`CachingRelatedness` — one lock-free memo of any measure, shared
-  across the documents and threads of a batch/corpus run (see
-  :mod:`repro.core.batch`).
+* :class:`CachingRelatedness` — the lock-free memo of exact values that
+  every pipeline owns, shared across its documents, rungs and threads.
+
+A measure is a pure, counted ``relatedness(a, b)``; a pre-clustering
+measure adds ``candidate_pairs(entities)``, the filter that picks which
+pairs of a task's entity set are computed at all (None: every pair).
 """
 
 from repro.relatedness.base import EntityRelatedness

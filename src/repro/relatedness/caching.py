@@ -1,49 +1,37 @@
-"""Shared memoization of entity relatedness.
+"""The relatedness memo: exact pair values, one per pipeline.
 
-Every measure already memoizes within one instance (the base-class cache),
-but a corpus run that builds one pipeline per document — or fans documents
-out over a worker pool — recomputes the same Milne–Witten/KORE pairs from
-scratch for every document.  :class:`CachingRelatedness` wraps any
-:class:`~repro.relatedness.base.EntityRelatedness` in one symmetric-key
-memo that several pipelines (and several threads) can share, with hit and
-miss counters that the pipeline surfaces through
-:class:`~repro.utils.timing.PipelineStats`.
+Measures are pure (:mod:`repro.relatedness.base`): they compute and count
+on every call.  :class:`CachingRelatedness` keeps their *exact* values, so
+a pair computed for one document serves every later document, rung and
+thread of the same pipeline; every
+:class:`~repro.core.pipeline.AidaDisambiguator` owns exactly one.  A
+document's coherence pass is :meth:`CachingRelatedness.coherence_edges`:
+the measure's ``candidate_pairs`` filter (LSH stage two) picks the pairs
+to look up, and a pair it removes never reaches the memo.
 
-The wrapper is observationally identical to the wrapped measure: values go
-through the same :meth:`~repro.relatedness.base.EntityRelatedness
-.compute_pair` canonicalization/pruning/clamping path, so a cached corpus
-run is bit-identical to an uncached one.
-
-Thread-safety notes: the memo is a plain dict with no bound and no
-recency order; its ``get`` and ``setdefault`` are atomic under the
-interpreter lock, so lookups take no lock.  The wrapped measure computes
-unlocked, so concurrent first requests for a pair may compute it twice
-(the same value — every measure is deterministic); after warm-up no pair
-is recomputed.  Hits and misses are tallied per thread and summed by
-:meth:`CachingRelatedness.cache_stats`, so the counts stay exact.
-Measures with per-task ``prepare`` state (LSH pre-clustering) keep that
-state thread-local and are shareable like the stateless ones (MW,
-Jaccard, KORE, cosine).  Their task-dependent values (LSH-pruned zeros,
-see :meth:`~repro.relatedness.base.EntityRelatedness.cacheable_pair`)
-are answered but never stored, and a stored pair that the current task
-prunes answers 0.0, so no value leaks from one document's candidate set
-into another's.
+Thread-safety notes: the memo is a plain dict with no bound; its ``get``
+and ``setdefault`` are atomic under the interpreter lock, so lookups take
+no lock.  Concurrent first requests for a pair may compute it twice (the
+same value — every measure is deterministic).  Hits and misses are
+tallied per thread: :meth:`CachingRelatedness.cache_stats` sums them, and
+a thread reads its own (:meth:`CachingRelatedness.thread_counts`) to
+count one document's lookups.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from itertools import combinations
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.obs import get_metrics
-from repro.relatedness.base import EntityRelatedness
+from repro.relatedness.base import EntityRelatedness, Pair
 from repro.types import EntityId
 
 
 @dataclass(frozen=True)
 class CacheStats:
-    """A snapshot of the cache counters.
+    """A snapshot of the memo counters.
 
     ``hits + misses`` equals the number of non-identical-pair lookups;
     ``computations`` is the wrapped measure's comparison counter (it can
@@ -63,18 +51,8 @@ class CacheStats:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0 when idle)."""
+        """Fraction of lookups served from the memo (0 when idle)."""
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-friendly view (pipeline counters, benchmark records)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "size": self.size,
-            "computations": self.computations,
-            "hit_rate": self.hit_rate,
-        }
 
 
 class _Tally:
@@ -88,58 +66,46 @@ class _Tally:
 
 
 class CachingRelatedness(EntityRelatedness):
-    """Memoizing wrapper around a relatedness measure, shareable across
-    documents and threads.
-
-    Parameters
-    ----------
-    inner:
-        The measure to memoize.  Its ``prepare``/``should_compare``
-        behaviour is delegated unchanged.
-    """
+    """Memo of exact values around a relatedness measure (*inner*, whose
+    ``candidate_pairs`` filter is the memo's), shareable across documents
+    and threads."""
 
     def __init__(self, inner: EntityRelatedness):
-        super().__init__()
+        # No base __init__: ``comparisons`` is the wrapped measure's.
         self._inner = inner
-        self._memo: Dict[Tuple[EntityId, EntityId], float] = {}
+        self._memo: Dict[Pair, float] = {}
         # Per-thread tallies: a thread registers its own once, under the
         # lock; lookups then touch only that thread's tally.
         self._lock = threading.Lock()
         self._local = threading.local()
         self._tallies: List[_Tally] = []
-        # Last values pushed to the global metrics registry (delta base),
-        # guarded by its own lock so publishing never blocks lookups.
-        self._publish_lock = threading.Lock()
-        self._published: Dict[str, int] = {}
         self.name = f"cached({inner.name})"
 
-    # ------------------------------------------------------------------
-    # Delegation
-    # ------------------------------------------------------------------
     @property
     def inner(self) -> EntityRelatedness:
         """The wrapped measure."""
         return self._inner
 
-    def prepare(self, entities: Iterable[EntityId]) -> None:
-        self._inner.prepare(entities)
+    @property
+    def comparisons(self) -> int:
+        """The wrapped measure's exact computations."""
+        return self._inner.comparisons
 
-    def should_compare(self, a: EntityId, b: EntityId) -> bool:
-        return self._inner.should_compare(a, b)
-
-    def cacheable_pair(self, a: EntityId, b: EntityId) -> bool:
-        return self._inner.cacheable_pair(a, b)
+    def candidate_pairs(
+        self, entities: Iterable[EntityId]
+    ) -> Optional[Set[Pair]]:
+        return self._inner.candidate_pairs(entities)
 
     def _compute(self, a: EntityId, b: EntityId) -> float:
-        # Only reachable through the inherited ``relatedness`` (which this
-        # class overrides); kept for the abstract contract.
-        return self._inner.compute_pair(a, b)
+        # Unreachable: ``relatedness`` is overridden.  Kept for the
+        # abstract contract.
+        return self._inner.relatedness(a, b)
 
     # ------------------------------------------------------------------
-    # The memoized lookup
+    # Lookups
     # ------------------------------------------------------------------
     def relatedness(self, a: EntityId, b: EntityId) -> float:
-        """Relatedness of the pair, served from the shared memo."""
+        """The exact value of the pair, computed at most once."""
         if a == b:
             return 1.0
         key = self.canonical_pair(a, b)
@@ -150,18 +116,41 @@ class CachingRelatedness(EntityRelatedness):
         value = self._memo.get(key)
         if value is not None:
             tally.hits += 1
-            # A pair the current task prunes (LSH) answers 0.0, as the
-            # wrapped measure does, whatever an earlier task stored.
-            if self._inner.should_compare(key[0], key[1]):
-                return value
-            return 0.0
+            return value
         tally.misses += 1
-        value = self._inner.compute_pair(key[0], key[1])
-        # A task-dependent value (an LSH-pruned 0.0) is valid for this
-        # lookup but not for a memo shared across documents.
-        if self._inner.cacheable_pair(key[0], key[1]):
-            self._memo.setdefault(key, value)
+        value = self._inner.relatedness(key[0], key[1])
+        self._memo.setdefault(key, value)
         return value
+
+    def coherence_edges(
+        self,
+        entities: Iterable[EntityId],
+        sole_mention: Optional[Mapping[EntityId, object]] = None,
+    ) -> Tuple[Dict[Pair, float], Optional[Set[Pair]]]:
+        """One document's coherence pass: ``(edges, survivors)``.
+
+        *survivors* is the measure's ``candidate_pairs`` of the entity
+        set (None: every pair).  *edges* maps each surviving pair, in
+        ascending order, to its exact value, except pairs of candidates
+        of one and the same single mention (*sole_mention*: entity → its
+        only mention; mutually exclusive, Section 4.6.4).
+        """
+        ordered = sorted(set(entities))
+        survivors = self._inner.candidate_pairs(ordered)
+        pairs = (
+            combinations(ordered, 2)
+            if survivors is None
+            else sorted(survivors)
+        )
+        sole = sole_mention or {}
+        lookup = self.relatedness
+        edges: Dict[Pair, float] = {}
+        for a, b in pairs:
+            mention = sole.get(a)
+            if mention is not None and mention == sole.get(b):
+                continue
+            edges[(a, b)] = lookup(a, b)
+        return edges, survivors
 
     def _register(self) -> _Tally:
         """The calling thread's tally, created and listed on first use."""
@@ -174,42 +163,28 @@ class CachingRelatedness(EntityRelatedness):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def cache_stats(self) -> CacheStats:
-        """A snapshot of the counters, summed over every thread's tally.
+    def thread_counts(self) -> Tuple[int, int]:
+        """The calling thread's ``(hits, misses)`` so far."""
+        tally = getattr(self._local, "tally", None)
+        if tally is None:
+            return 0, 0
+        return tally.hits, tally.misses
 
-        Snapshot points double as the metrics publication points: the
-        deltas since the previous snapshot are folded into the global
-        :mod:`repro.obs` registry as ``relatedness.cache.*`` counters
-        (no-ops while observability is disabled), keeping the lookup hot
-        path free of any metrics work.
-        """
+    def cache_stats(self) -> CacheStats:
+        """A snapshot of the counters, summed over every thread's tally."""
         with self._lock:
             tallies = list(self._tallies)
-        stats = CacheStats(
+        return CacheStats(
             hits=sum(tally.hits for tally in tallies),
             misses=sum(tally.misses for tally in tallies),
-            size=len(self._memo),
-            computations=self._inner.comparisons,
+            size=self.size,
+            computations=self.comparisons,
         )
-        self._publish_metrics(stats)
-        return stats
 
-    def _publish_metrics(self, stats: CacheStats) -> None:
-        metrics = get_metrics()
-        if not metrics.enabled:
-            return
-        totals = {
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "computations": stats.computations,
-        }
-        with self._publish_lock:
-            for key, total in totals.items():
-                delta = total - self._published.get(key, 0)
-                if delta > 0:
-                    metrics.counter(f"relatedness.cache.{key}").inc(delta)
-                    self._published[key] = total
-            metrics.gauge("relatedness.cache.size").set(stats.size)
+    @property
+    def size(self) -> int:
+        """Pairs held in the memo."""
+        return len(self._memo)
 
     def reset_stats(self) -> None:
         """Clear the memo, the counters, and the wrapped measure's stats.
@@ -221,7 +196,11 @@ class CachingRelatedness(EntityRelatedness):
         with self._lock:
             self._tallies = []
             self._local = threading.local()
-        with self._publish_lock:
-            self._published.clear()
-        super().reset_stats()
         self._inner.reset_stats()
+
+
+def memoized(measure: EntityRelatedness) -> CachingRelatedness:
+    """*measure* itself when it is a memo, else a new memo over it."""
+    if isinstance(measure, CachingRelatedness):
+        return measure
+    return CachingRelatedness(measure)

@@ -24,10 +24,9 @@ measure to within 1e-9.
 
 The LSH-pruned production backends (§4.4.2,
 :class:`~repro.relatedness.lsh.KoreLshRelatedness`) wrap this measure
-and score only band-colliding pairs through
-:meth:`~repro.relatedness.base.EntityRelatedness.compute_uncounted`, so
-the wrapper owns the comparison counter and the ``relatedness`` fault
-site fires once per surviving pair — never here a second time.
+and score band-colliding pairs through its raw ``_compute``, so the
+wrapper owns the comparison counter and the ``relatedness`` fault site
+fires once per surviving pair — never here a second time.
 """
 
 from __future__ import annotations

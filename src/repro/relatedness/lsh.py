@@ -6,9 +6,13 @@ entity is then represented by the *set of phrase-bucket ids* of its phrases,
 preserving the notion of partial phrase matches.
 
 Stage 2 (per task, over the candidate entity set): entities are min-hash-
-sketched over their phrase-bucket id sets and bucketed by a second LSH.  The
-exact KORE measure is computed only for entity pairs sharing at least one
-stage-two bucket; all other pairs are assumed unrelated (relatedness 0).
+sketched over their phrase-bucket id sets and bucketed by a second LSH.
+:meth:`KoreLshRelatedness.candidate_pairs` returns the entity pairs sharing
+at least one stage-two bucket; only those get the exact KORE measure, and
+all other pairs are assumed unrelated (relatedness 0).  Stage two is a
+filter, not a state: the caller (the pipeline's one coherence pass per
+document, :meth:`repro.relatedness.caching.CachingRelatedness
+.coherence_edges`) visits the surviving pairs only.
 
 The paper's settings (KORE_LSH-G: 200 bands × 1 row; KORE_LSH-F: 1000 bands
 × 2 rows over millions of entities) are scaled down for the synthetic KB —
@@ -29,10 +33,9 @@ Sharing and state:
   placeholder) takes the same path alone.  For process pools,
   :meth:`export_sketches` lets the parent ship the precomputed sketches
   to workers instead of having each re-sketch the KB.
-* Stage-two artifacts (the allowed-pair set and the pair cache) are
-  *per task* and live in thread-local storage: concurrent batch threads
-  each ``prepare()`` their own document's candidate set without clobbering
-  one another.
+* Stage two keeps nothing: ``candidate_pairs`` bands the task's entities
+  into a fresh index and returns the pairs, so concurrent batch threads
+  share the measure without sharing any per-task state.
 """
 
 from __future__ import annotations
@@ -176,24 +179,15 @@ class _OverlaySketches(Mapping):
         return len(set(self._overlay) | set(self._base))
 
 
-class _TaskState(threading.local):
-    """Per-thread stage-two state: one concurrent task per thread."""
-
-    def __init__(self) -> None:
-        self.allowed: Set[Tuple[EntityId, EntityId]] = set()
-        self.prepared = False
-        self.cache: Dict[Tuple[EntityId, EntityId], float] = {}
-
-
 class KoreLshRelatedness(EntityRelatedness):
     """KORE with two-stage LSH pre-clustering.
 
     Wraps an exact :class:`~repro.relatedness.kore.KoreRelatedness`:
-    pairs surviving stage-two banding get the exact (compiled)
-    KORE value; pruned pairs are 0.0 without computation.  The wrapper's
-    ``comparisons`` counter is the Table 4.4 quantity — the inner
-    measure's accounting is bypassed entirely (one pair = one fault-site
-    fire = one count).
+    :meth:`candidate_pairs` (stage two) keeps the pairs of a task's
+    entity set that share a bucket, and :meth:`relatedness` is the exact
+    (compiled) KORE value of a pair.  The wrapper's ``comparisons``
+    counter is the Table 4.4 quantity — the inner measure's accounting
+    is bypassed entirely (one pair = one fault-site fire = one count).
     """
 
     def __init__(
@@ -206,9 +200,6 @@ class KoreLshRelatedness(EntityRelatedness):
             Mapping[EntityId, Tuple[int, ...]]
         ] = None,
     ):
-        # The thread-local slot must exist before the base constructor
-        # assigns ``_cache`` (a property over it, see below).
-        self._task = _TaskState()
         super().__init__()
         self.name = name
         self._store = store
@@ -239,25 +230,13 @@ class KoreLshRelatedness(EntityRelatedness):
         #: via a ``complete`` attribute), letting :meth:`precompute`
         #: skip the KB-wide stage-one pass entirely.
         self._sketches_complete = bool(getattr(sketches, "complete", False))
-        #: Cumulative pruning statistics across prepare() calls (all
-        #: threads), for benchmarks that run without a metrics registry.
+        #: Cumulative pruning statistics across candidate_pairs() calls
+        #: (all threads), for benchmarks that run without a metrics
+        #: registry.
         self.prepared_tasks = 0
         self.pruned_pairs = 0
         self.survived_pairs = 0
         self._stats_lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    # Thread-local pair cache (the base class reads/clears ``_cache``)
-    # ------------------------------------------------------------------
-    @property
-    def _cache(self) -> Dict[Tuple[EntityId, EntityId], float]:
-        return self._task.cache
-
-    @_cache.setter
-    def _cache(self, value) -> None:
-        # The base constructor assigns a fresh dict; the thread-local one
-        # is authoritative, so the assignment is absorbed.
-        pass
 
     @property
     def settings(self) -> LshSettings:
@@ -417,13 +396,17 @@ class KoreLshRelatedness(EntityRelatedness):
         return dict(self._entity_sketches)
 
     # ------------------------------------------------------------------
-    # Stage 2: entity grouping at task run-time
+    # Stage 2: entity grouping over one task's entity set
     # ------------------------------------------------------------------
-    def prepare(self, entities: Iterable[EntityId]) -> None:
-        """Build the per-task entity LSH and the allowed-pair set.
+    def candidate_pairs(
+        self, entities: Iterable[EntityId]
+    ) -> Set[Tuple[EntityId, EntityId]]:
+        """The canonical pairs of *entities* sharing a stage-two bucket.
 
-        The resulting state is thread-local: each batch-worker thread
-        prepares its own document without disturbing the others.
+        A function of the entity set and the read-only sketch table
+        alone: the entities are banded into a fresh index, so concurrent
+        tasks share nothing.  An entity without keyphrases is never
+        banded (relatedness 0 by definition).
         """
         start = time.perf_counter()
         index = LshIndex(
@@ -432,17 +415,11 @@ class KoreLshRelatedness(EntityRelatedness):
         universe = sorted(set(entities))
         for entity_id in universe:
             sketch = self._entity_sketch(entity_id)
-            if not sketch:
-                continue  # no keyphrases -> relatedness 0 by definition
-            index.add(entity_id, sketch)
-        task = self._task
-        task.allowed = index.candidate_pairs()
-        task.prepared = True
-        # A new task invalidates cached zero decisions from the old one.
-        task.cache.clear()
-        survived = len(task.allowed)
-        total = len(universe) * (len(universe) - 1) // 2
-        pruned = total - survived
+            if sketch:
+                index.add(entity_id, sketch)
+        survivors = index.candidate_pairs()
+        survived = len(survivors)
+        pruned = len(universe) * (len(universe) - 1) // 2 - survived
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         with self._stats_lock:
             self.prepared_tasks += 1
@@ -455,30 +432,12 @@ class KoreLshRelatedness(EntityRelatedness):
             metrics.histogram("relatedness.lsh.prepare_ms").observe(
                 elapsed_ms
             )
-
-    def should_compare(self, a: EntityId, b: EntityId) -> bool:
-        """Whether the pair shares a stage-two bucket."""
-        task = self._task
-        if not task.prepared:
-            return True  # without preparation, behave like exact KORE
-        return self.canonical_pair(a, b) in task.allowed
-
-    def cacheable_pair(self, a: EntityId, b: EntityId) -> bool:
-        """Surviving pairs carry the task-independent exact value and may
-        be memoized across documents; pruned zeros are task-dependent and
-        must not outlive this ``prepare``."""
-        return self.should_compare(a, b)
+        return survivors
 
     def _compute(self, a: EntityId, b: EntityId) -> float:
-        # Uncounted delegation: this wrapper's compute_pair already fired
-        # the chaos site and counted the comparison for the pair, so the
-        # inner measure must not do either a second time.
-        return self._kore.compute_uncounted(a, b)
-
-    @property
-    def allowed_pair_count(self) -> int:
-        """Number of pairs surviving pre-clustering (this thread's task)."""
-        return len(self._task.allowed)
+        # The inner measure's raw value: this wrapper's ``relatedness``
+        # already fired the chaos site and counted the comparison.
+        return self._kore._compute(a, b)
 
 
 # ----------------------------------------------------------------------

@@ -13,16 +13,20 @@ and the mention-entity similarity (Eq. 3.6) sums the scores of all the
 entity's keyphrases over the mention's document context.
 
 Scoring runs over the compiled integer arrays of :mod:`repro.compiled`:
-each entity's keyphrases are compiled once, and each context is
-posting-indexed once and shared by every candidate.  The string/dict
-form of the same equations is a test oracle (``tests/oracles/cover.py``)
-that the differential suites hold this scorer to within 1e-9.
+each entity's keyphrases are compiled once.  The scorer keeps no
+per-document state: a caller scoring many mentions of one document
+indexes it once (:meth:`KeyphraseSimilarity.index`) and passes each
+mention's :meth:`~repro.compiled.context.IndexedContext.masked` view,
+which every candidate of that mention shares.  The string/dict form of
+the same equations is a test oracle (``tests/oracles/cover.py``) that the
+differential suites hold this scorer to within 1e-9.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Union
 
+from repro.compiled.context import IndexedContext
 from repro.compiled.keyphrases import CompiledKeyphrases
 from repro.compiled.scoring import simscore_arrays
 from repro.kb.keyphrases import KeyphraseStore, Phrase
@@ -30,6 +34,9 @@ from repro.obs import get_metrics
 from repro.similarity.context import DocumentContext
 from repro.types import EntityId
 from repro.weights.model import WeightModel
+
+#: A context to score against: plain, or already indexed.
+Context = Union[DocumentContext, IndexedContext]
 
 
 class KeyphraseSimilarity:
@@ -92,9 +99,6 @@ class KeyphraseSimilarity:
         self._max_keyphrases = max_keyphrases
         self.distance_discount = distance_discount
         self.compiled = compiled
-        #: (context, IndexedContext) of the most recent scoring call;
-        #: identity-checked, so a stale entry can only miss.
-        self._indexed_cache: Optional[Tuple[DocumentContext, object]] = None
 
     def entity_phrases(self, entity_id: EntityId) -> List[Phrase]:
         """The (possibly capped) keyphrases of an entity."""
@@ -105,20 +109,22 @@ class KeyphraseSimilarity:
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    def simscore(
-        self, context: DocumentContext, entity_id: EntityId
-    ) -> float:
+    def index(self, context: DocumentContext) -> IndexedContext:
+        """The posting index of *context* over this scorer's vocabulary."""
+        return self.compiled.index_context(context)
+
+    def simscore(self, context: Context, entity_id: EntityId) -> float:
         """Aggregate partial-match score of all entity keyphrases."""
         return self._simscore(self._indexed(context), entity_id)
 
     def simscores(
-        self, context: DocumentContext, entity_ids: Sequence[EntityId]
+        self, context: Context, entity_ids: Sequence[EntityId]
     ) -> Dict[EntityId, float]:
         """simscore for every candidate entity.
 
-        The context is posting-indexed **once** and shared by every
-        candidate, instead of re-hashing phrase words per (mention,
-        candidate) pair.
+        The context is posting-indexed **once** (or passed indexed) and
+        shared by every candidate, instead of re-hashing phrase words per
+        (mention, candidate) pair.
         """
         indexed = self._indexed(context)
         return {eid: self._simscore(indexed, eid) for eid in entity_ids}
@@ -132,19 +138,10 @@ class KeyphraseSimilarity:
         _count_phrases(scored, skipped)
         return score
 
-    def _indexed(self, context: DocumentContext):
-        """The posting index of *context*, built once and identity-cached.
-
-        The cache is a single atomically-swapped tuple: safe under the
-        shared-pipeline thread mode (a concurrent scorer at worst misses
-        and rebuilds, never reads the wrong context's index).
-        """
-        cached = self._indexed_cache
-        if cached is not None and cached[0] is context:
-            return cached[1]
-        indexed = self.compiled.index_context(context)
-        self._indexed_cache = (context, indexed)
-        return indexed
+    def _indexed(self, context: Context) -> IndexedContext:
+        if isinstance(context, IndexedContext):
+            return context
+        return self.index(context)
 
 
 def _count_phrases(scored: int, skipped: int) -> None:

@@ -116,11 +116,9 @@ class PipelineStats:
     def merge(cls, stats: Iterable["PipelineStats"]) -> "PipelineStats":
         """Fold per-document stats into corpus totals.
 
-        Phase seconds and numeric counters add up; ``relatedness_cache_*``
-        counters are *cumulative snapshots* (each document reports the
-        shared cache's running totals), so the merged value keeps the
-        maximum seen rather than a meaningless sum.  Non-numeric counters
-        (e.g. the solver's post-process strategy string) are dropped.
+        Phase seconds and numeric counters add up (every counter is a
+        per-document count).  Non-numeric counters (e.g. the solver's
+        post-process strategy string) are dropped.
         """
         merged = cls()
         for item in stats:
@@ -135,13 +133,7 @@ class PipelineStats:
                     value, (int, float)
                 ):
                     continue
-                if key.startswith("relatedness_cache_"):
-                    previous = merged.counters.get(key, value)
-                    merged.counters[key] = max(previous, value)
-                else:
-                    merged.counters[key] = (
-                        merged.counters.get(key, 0) + value
-                    )
+                merged.counters[key] = merged.counters.get(key, 0) + value
         return merged
 
     @property

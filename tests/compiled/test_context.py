@@ -39,6 +39,26 @@ class TestIndexedContext:
         assert indexed.mention_center == context.mention_center
         assert indexed.document_length == 3
 
+    def test_masked_view_drops_only_the_mention_span(self):
+        vocab = Vocabulary(["guitar", "rock", "page"])
+        mention = Mention(surface="guitar rock", start=1, end=3)
+        document = _doc(
+            ["page", "guitar", "rock", "guitar", "page"], [mention]
+        )
+        indexed = IndexedContext(DocumentContext(document), vocab)
+        view = indexed.masked(mention)
+        # "guitar" keeps its position right after the span, "rock" had
+        # no other and is dropped, "page" is untouched.
+        assert view.postings == {
+            vocab.id_of("guitar"): [3],
+            vocab.id_of("page"): [0, 4],
+        }
+        assert view.postings == IndexedContext(
+            DocumentContext(document, exclude_mention=mention), vocab
+        ).postings
+        assert view.mention_center == 1.5
+        assert indexed.postings[vocab.id_of("guitar")] == [1, 3]
+
     def test_document_length_floor(self):
         context = DocumentContext(_doc([]))
         indexed = IndexedContext(context, Vocabulary())

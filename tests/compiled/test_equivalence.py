@@ -138,11 +138,13 @@ class TestSimscoreEquivalence:
         compiled = CompiledKeyphrases(store, weights)
         sim = KeyphraseSimilarity(store, weights, compiled=compiled)
         context = DocumentContext(_doc(DOCUMENTS[0]))
-        sim.simscores(context, ENTITIES)
-        first = sim._indexed(context)
-        assert sim._indexed(context) is first  # identity-cached
-        other = DocumentContext(_doc(DOCUMENTS[1]))
-        assert sim._indexed(other) is not first
+        indexed = sim.index(context)
+        # An index passed in is scored as is, never rebuilt, and every
+        # candidate reads the same one.
+        assert sim._indexed(indexed) is indexed
+        assert sim.simscores(indexed, ENTITIES) == sim.simscores(
+            context, ENTITIES
+        )
 
 
 class TestCoverEquivalence:
@@ -344,7 +346,9 @@ class TestSharing:
             config.relatedness_backend = "kore_lsh_g"
             pipeline = snapshot.pipeline(config)
             assert pipeline.similarity.compiled is snapshot.compiled
-            assert pipeline.relatedness.inner.compiled is snapshot.compiled
+            # The memo wraps the LSH measure, which wraps KORE.
+            kore = pipeline.relatedness.inner.inner
+            assert kore.compiled is snapshot.compiled
             result = pipeline.disambiguate(sample_docs[0].document)
             assert result.assignments
         finally:

@@ -90,7 +90,7 @@ class StatsPipeline(EchoPipeline):
             phase_seconds={"solve": 0.25, "graph_build": 0.5},
             counters={
                 "mentions": 2,
-                "relatedness_cache_hits": 10 * (index + 1),
+                "relatedness_pairs": 10 * (index + 1),
                 "post_process": "keep",
             },
         )
@@ -314,8 +314,8 @@ class TestMergedStats:
         assert merged.phase_seconds["solve"] == pytest.approx(6 * 0.25)
         assert merged.phase_seconds["graph_build"] == pytest.approx(3.0)
         assert merged.counters["mentions"] == 12
-        # Cache counters are cumulative snapshots: max, not sum.
-        assert merged.counters["relatedness_cache_hits"] == 60
+        # Every counter is a per-document count: totals are sums.
+        assert merged.counters["relatedness_pairs"] == 210
         # Non-numeric counters are dropped from corpus totals.
         assert "post_process" not in merged.counters
 

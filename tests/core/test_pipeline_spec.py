@@ -17,6 +17,7 @@ import pickle
 import pytest
 
 from repro.core.config import AidaConfig
+from repro.core.pipeline import AidaDisambiguator
 from repro.core.spec import PipelineSpec
 from repro.embeddings import EmbeddingConfig, train_embeddings
 from repro.errors import ConfigurationError
@@ -86,7 +87,7 @@ class TestValue:
             prerank_topk=5,
         )
         where = {"kb_dir": kb_dir, "snapshot": snap_path}[source]
-        spec = PipelineSpec(config, cache_relatedness=True, **{source: where})
+        spec = PipelineSpec(config, **{source: where})
         copy = pickle.loads(pickle.dumps(spec))
         assert copy == spec
         assert copy.source == spec.source
@@ -103,10 +104,22 @@ class TestValue:
 class TestBuild:
     @pytest.mark.parametrize("cache", (False, True))
     def test_cache_setting_wraps_relatedness(self, snap_path, cache):
-        pipeline = PipelineSpec(
-            AidaConfig.full(), snapshot=snap_path, cache_relatedness=cache
-        ).build()
-        assert isinstance(pipeline.relatedness, CachingRelatedness) is cache
+        """Every pipeline owns exactly one memo: a bare measure gets a
+        new one, a memo (*cache*) is used as given."""
+        built = PipelineSpec(AidaConfig.full(), snapshot=snap_path).build()
+        assert isinstance(built.relatedness, CachingRelatedness)
+        given = built.relatedness if cache else built.relatedness.inner
+        pipeline = AidaDisambiguator(
+            built.kb,
+            relatedness=given,
+            config=built.config,
+            keyphrase_store=built.store,
+            weight_model=built.weights,
+            compiled_keyphrases=built.compiled,
+        )
+        assert isinstance(pipeline.relatedness, CachingRelatedness)
+        assert (pipeline.relatedness is built.relatedness) is cache
+        assert pipeline.relatedness.inner is built.relatedness.inner
 
     @pytest.mark.parametrize("backend", ("mw", "kore_lsh_g"))
     def test_both_sources_build_the_same_pipeline(
@@ -115,12 +128,8 @@ class TestBuild:
         config = dataclasses.replace(
             AidaConfig.full(), relatedness_backend=backend
         )
-        from_dir = PipelineSpec(
-            config, kb_dir=kb_dir, cache_relatedness=True
-        ).build()
-        from_image = PipelineSpec(
-            config, snapshot=snap_path, cache_relatedness=True
-        ).build()
+        from_dir = PipelineSpec(config, kb_dir=kb_dir).build()
+        from_image = PipelineSpec(config, snapshot=snap_path).build()
         for annotated in sample_docs[:4]:
             assert _comparable(
                 from_dir.disambiguate(annotated.document)

@@ -157,7 +157,7 @@ class TestEmbeddingBackends:
             config=_config(relatedness_backend="embedding"),
             embedding_model=model,
         )
-        assert isinstance(pipeline.relatedness, EmbeddingRelatedness)
+        assert isinstance(pipeline.relatedness.inner, EmbeddingRelatedness)
         result = pipeline.disambiguate(sample_docs[0].document)
         assert result.assignments
 

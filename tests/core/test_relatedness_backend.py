@@ -74,7 +74,7 @@ class TestPipelineWiring:
         pipeline = AidaDisambiguator(
             kb, config=AidaConfig(relatedness_backend="kore_lsh_g")
         )
-        measure = pipeline.relatedness
+        measure = pipeline.relatedness.inner
         assert isinstance(measure, KoreLshRelatedness)
         sketched = set(measure.export_sketches())
         assert sketched >= set(kb.keyphrases.entity_ids())
@@ -84,7 +84,9 @@ class TestPipelineWiring:
             kb, config=AidaConfig(relatedness_backend="kore_lsh_g")
         )
         assert pipeline.compiled is not None
-        assert pipeline.relatedness.inner.compiled is pipeline.compiled
+        # The pipeline's memo wraps the LSH measure, which wraps KORE.
+        kore = pipeline.relatedness.inner.inner
+        assert kore.compiled is pipeline.compiled
 
     def test_compiled_attached_through_cache_wrapper(self, kb):
         config = AidaConfig(relatedness_backend="kore_lsh_g")
@@ -100,7 +102,7 @@ class TestPipelineWiring:
         )
         result = pipeline.disambiguate(sample_docs[0].document)
         assert result.assignments
-        measure = pipeline.relatedness
+        measure = pipeline.relatedness.inner
         assert measure.prepared_tasks == 1
         assert measure.pruned_pairs + measure.survived_pairs > 0
 

@@ -8,6 +8,8 @@ measure.
 import pytest
 
 from repro.kb.keyphrases import KeyphraseStore
+from repro.relatedness.base import filtered_relatedness
+from repro.relatedness.caching import CachingRelatedness
 from repro.relatedness.keyterm_cosine import (
     KeyphraseCosineRelatedness,
     KeywordCosineRelatedness,
@@ -156,20 +158,21 @@ class TestKoreLsh:
             store, kore, LshSettings.recall_geared(), name="G"
         )
         entities = store.entity_ids()
-        lsh.prepare(entities)
+        survivors = lsh.candidate_pairs(entities)
+        assert ("Hallelujah_Cave", "Nick_Cave") in survivors
         assert lsh.relatedness("Nick_Cave", "Hallelujah_Cave") > 0.0
 
     def test_pruned_pair_scores_zero_without_computation(self, setup):
         store, weights = setup
         kore = KoreRelatedness(store, weights)
         lsh = KoreLshRelatedness(store, kore, LshSettings.fast(), name="F")
-        lsh.prepare(store.entity_ids())
-        before = kore.comparisons
-        value = lsh.relatedness("F0", "F3")
+        survivors = lsh.candidate_pairs(store.entity_ids())
+        value = filtered_relatedness(lsh, survivors, "F0", "F3")
         # Disjoint filler entities should be pruned by stage two.
-        if not lsh.should_compare("F0", "F3"):
+        if ("F0", "F3") not in survivors:
             assert value == 0.0
-            assert kore.comparisons == before
+            assert lsh.comparisons == 0
+            assert kore.comparisons == 0
 
     def test_without_prepare_behaves_exactly(self, setup):
         store, weights = setup
@@ -186,17 +189,23 @@ class TestKoreLsh:
         g = KoreLshRelatedness(store, kore_g, LshSettings.recall_geared())
         f = KoreLshRelatedness(store, kore_f, LshSettings.fast())
         entities = store.entity_ids()
-        g.prepare(entities)
-        f.prepare(entities)
-        assert f.allowed_pair_count <= g.allowed_pair_count
+        assert len(f.candidate_pairs(entities)) <= len(
+            g.candidate_pairs(entities)
+        )
 
     def test_prepare_resets_pair_cache(self, setup):
         store, weights = setup
         kore = KoreRelatedness(store, weights)
         lsh = KoreLshRelatedness(store, kore, LshSettings.recall_geared())
-        lsh.prepare(["Nick_Cave", "Hallelujah_Chorus"])
-        first = lsh.relatedness("Nick_Cave", "Hallelujah_Cave")
-        lsh.prepare(["Nick_Cave", "Hallelujah_Cave"])
-        second = lsh.relatedness("Nick_Cave", "Hallelujah_Cave")
-        # After preparing with the pair present, the exact value is used.
-        assert second >= first
+        memo = CachingRelatedness(lsh)
+        pair = ("Nick_Cave", "Hallelujah_Cave")
+        # The filter is a function of the task's entity set: outside the
+        # set the pair is 0.0 and never reaches the memo ...
+        survivors = lsh.candidate_pairs(["Nick_Cave", "Hallelujah_Chorus"])
+        first = filtered_relatedness(memo, survivors, *pair)
+        assert first == 0.0
+        assert memo.size == 0
+        # ... inside it, the exact value is used.
+        survivors = lsh.candidate_pairs(list(pair))
+        second = filtered_relatedness(memo, survivors, *pair)
+        assert second == lsh.relatedness(*pair) > first

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.kb.links import LinkGraph
+from repro.relatedness.caching import CachingRelatedness
 from repro.relatedness.jaccard import InlinkJaccardRelatedness
 from repro.relatedness.milne_witten import MilneWittenRelatedness
 
@@ -50,10 +51,13 @@ class TestMilneWitten:
 
     def test_comparison_counter(self, links):
         mw = MilneWittenRelatedness(links, collection_size=100)
-        mw.relatedness("A", "B")
-        mw.relatedness("B", "A")  # cached, symmetric
-        mw.relatedness("A", "C")
+        memo = CachingRelatedness(mw)
+        memo.relatedness("A", "B")
+        memo.relatedness("B", "A")  # memoized, symmetric
+        memo.relatedness("A", "C")
         assert mw.comparisons == 2
+        mw.relatedness("A", "B")  # the bare measure counts every call
+        assert mw.comparisons == 3
 
     def test_reset_stats(self, links):
         mw = MilneWittenRelatedness(links, collection_size=100)

@@ -6,15 +6,15 @@ must preserve:
 * one surviving pair = one fault-site fire = one comparison count (the
   zero-fault chaos differential — a ``rate=0.0`` spec counts calls
   without injecting);
-* pruned zeros are task-dependent and must not outlive their ``prepare``
-  in an outer cross-document cache;
+* a pruned pair never reaches the memo, so no document's pruning leaks
+  into another's answers through a memo shared across documents;
 * inconsistent stage-one geometry fails at construction instead of
   silently bucketing everything together;
 * keyphrase-less entities are never indexed (their relatedness is 0 by
-  definition) and cannot inflate the allowed-pair set;
-* candidate pairs are canonical and LSH values are exact-KORE-equal or
-  exactly 0.0;
-* per-task state is thread-local, so one measure serves concurrent
+  definition) and cannot inflate the surviving-pair set;
+* candidate pairs are canonical and filtered LSH values are
+  exact-KORE-equal or exactly 0.0;
+* stage two keeps no per-task state, so one measure serves concurrent
   documents.
 """
 
@@ -27,6 +27,7 @@ from repro.faults import FaultInjector, FaultSpec, injected
 from repro.hashing.lsh import LshIndex
 from repro.hashing.minhash import MinHasher
 from repro.kb.keyphrases import KeyphraseStore
+from repro.relatedness.base import filtered_relatedness
 from repro.relatedness.caching import CachingRelatedness
 from repro.relatedness.kore import KoreRelatedness
 from repro.relatedness.lsh import KoreLshRelatedness, LshSettings
@@ -63,18 +64,16 @@ class TestSingleFireSingleCount:
             store, kore, LshSettings.recall_geared(), name="G"
         )
         entities = store.entity_ids()
-        lsh.prepare(entities)
         injector = FaultInjector(
             [FaultSpec(site="relatedness", rate=0.0)]
         )
-        surviving = 0
         with injected(injector):
-            for i, a in enumerate(entities):
-                for b in entities[i + 1 :]:
-                    lsh.relatedness(a, b)
-                    if lsh.should_compare(a, b):
-                        surviving += 1
+            edges, survivors = CachingRelatedness(lsh).coherence_edges(
+                entities
+            )
+        surviving = len(survivors)
         assert surviving > 0
+        assert set(edges) == survivors
         stats = injector.stats()["relatedness"]
         assert stats["injected"] == 0
         # One fire and one count per surviving pair — not two — and the
@@ -87,15 +86,17 @@ class TestSingleFireSingleCount:
     def test_cached_lookup_does_not_refire(self, setup):
         store, weights = setup
         kore = KoreRelatedness(store, weights)
-        lsh = KoreLshRelatedness(store, kore, LshSettings.recall_geared())
-        lsh.prepare(store.entity_ids())
+        memo = CachingRelatedness(
+            KoreLshRelatedness(store, kore, LshSettings.recall_geared())
+        )
         injector = FaultInjector(
             [FaultSpec(site="relatedness", rate=0.0)]
         )
         with injected(injector):
-            lsh.relatedness("Nick_Cave", "Hallelujah_Cave")
+            memo.relatedness("Nick_Cave", "Hallelujah_Cave")
             calls_after_first = injector.stats()["relatedness"]["calls"]
-            lsh.relatedness("Hallelujah_Cave", "Nick_Cave")
+            memo.relatedness("Hallelujah_Cave", "Nick_Cave")
+        assert calls_after_first == 1
         assert (
             injector.stats()["relatedness"]["calls"] == calls_after_first
         )
@@ -104,7 +105,7 @@ class TestSingleFireSingleCount:
         store, weights = setup
         kore = KoreRelatedness(store, weights)
         lsh = KoreLshRelatedness(store, kore, LshSettings.fast())
-        lsh.prepare(store.entity_ids())
+        survivors = lsh.candidate_pairs(store.entity_ids())
         injector = FaultInjector(
             [FaultSpec(site="relatedness", rate=0.0)]
         )
@@ -112,18 +113,18 @@ class TestSingleFireSingleCount:
             (a, b)
             for i, a in enumerate(store.entity_ids())
             for b in store.entity_ids()[i + 1 :]
-            if not lsh.should_compare(a, b)
+            if (a, b) not in survivors
         ]
         assert pruned  # disjoint fillers must prune under F
         with injected(injector):
             for a, b in pruned:
-                assert lsh.relatedness(a, b) == 0.0
+                assert filtered_relatedness(lsh, survivors, a, b) == 0.0
         assert injector.stats().get("relatedness", {}).get("calls", 0) == 0
 
 
 class TestStalePrunedZeros:
-    """Two-document differential: a pruned 0.0 must not leak across
-    ``prepare`` boundaries through an outer shared cache."""
+    """Two-document differential: one document's pruning must not leak
+    into another's answers through the memo they share."""
 
     def test_pruned_zero_not_retained_by_outer_cache(self, setup):
         store, weights = setup
@@ -138,13 +139,19 @@ class TestStalePrunedZeros:
             )
         )
         # Document A: Hallelujah_Cave is not a candidate, so the pair
-        # shares no stage-two bucket and is pruned to 0.0.
-        cached.prepare(["Nick_Cave", "Hallelujah_Chorus"])
-        assert cached.relatedness("Nick_Cave", "Hallelujah_Cave") == 0.0
+        # is outside the surviving set and answers 0.0.
+        _edges, survivors = cached.coherence_edges(
+            ["Nick_Cave", "Hallelujah_Chorus"]
+        )
+        assert filtered_relatedness(
+            cached, survivors, "Nick_Cave", "Hallelujah_Cave"
+        ) == 0.0
         # Document B: the pair is present and collides — the exact value
-        # must surface, not document A's stale 0.0.
-        cached.prepare(["Nick_Cave", "Hallelujah_Cave"])
-        assert cached.relatedness("Nick_Cave", "Hallelujah_Cave") == exact
+        # must surface, not document A's 0.0.
+        edges, _survivors = cached.coherence_edges(
+            ["Nick_Cave", "Hallelujah_Cave"]
+        )
+        assert edges[("Hallelujah_Cave", "Nick_Cave")] == exact
 
     def test_stored_value_not_served_where_the_pair_is_pruned(self, setup):
         store, weights = setup
@@ -153,12 +160,18 @@ class TestStalePrunedZeros:
             KoreLshRelatedness(store, kore, LshSettings.recall_geared())
         )
         # Document B stores the exact value of a colliding pair.
-        cached.prepare(["Nick_Cave", "Hallelujah_Cave"])
-        assert cached.relatedness("Nick_Cave", "Hallelujah_Cave") > 0.0
-        # Document A prunes the pair: the wrapped measure answers 0.0,
-        # and so must the cache, not document B's value.
-        cached.prepare(["Nick_Cave", "Hallelujah_Chorus"])
-        assert cached.relatedness("Nick_Cave", "Hallelujah_Cave") == 0.0
+        edges, _survivors = cached.coherence_edges(
+            ["Nick_Cave", "Hallelujah_Cave"]
+        )
+        assert edges[("Hallelujah_Cave", "Nick_Cave")] > 0.0
+        # Document A prunes the pair: it answers 0.0, not document B's
+        # stored value.
+        _edges, survivors = cached.coherence_edges(
+            ["Nick_Cave", "Hallelujah_Chorus"]
+        )
+        assert filtered_relatedness(
+            cached, survivors, "Nick_Cave", "Hallelujah_Cave"
+        ) == 0.0
 
     def test_surviving_values_stay_memoizable(self, setup):
         store, weights = setup
@@ -166,8 +179,7 @@ class TestStalePrunedZeros:
         cached = CachingRelatedness(
             KoreLshRelatedness(store, kore, LshSettings.recall_geared())
         )
-        cached.prepare(["Nick_Cave", "Hallelujah_Cave"])
-        cached.relatedness("Nick_Cave", "Hallelujah_Cave")
+        cached.coherence_edges(["Nick_Cave", "Hallelujah_Cave"])
         before = cached.cache_stats()
         cached.relatedness("Nick_Cave", "Hallelujah_Cave")
         after = cached.cache_stats()
@@ -180,9 +192,15 @@ class TestStalePrunedZeros:
         cached = CachingRelatedness(
             KoreLshRelatedness(store, kore, LshSettings.recall_geared())
         )
-        cached.prepare(["Nick_Cave", "Hallelujah_Chorus"])
-        cached.relatedness("Nick_Cave", "Hallelujah_Cave")
-        assert cached.cache_stats().size == 0
+        _edges, survivors = cached.coherence_edges(
+            ["Nick_Cave", "Hallelujah_Chorus"]
+        )
+        filtered_relatedness(
+            cached, survivors, "Nick_Cave", "Hallelujah_Cave"
+        )
+        # Only the document's surviving pairs were looked up and stored.
+        assert cached.cache_stats().size == len(survivors)
+        assert cached.cache_stats().lookups == len(survivors)
 
 
 class TestSettingsValidation:
@@ -237,13 +255,14 @@ class TestEmptyEntities:
         weights = WeightModel(store, links=None)
         kore = KoreRelatedness(store, weights)
         lsh = KoreLshRelatedness(store, kore, LshSettings.recall_geared())
-        lsh.prepare(store.entity_ids())
+        survivors = lsh.candidate_pairs(store.entity_ids())
         empties = [e for e in store.entity_ids() if e.startswith("Empty")]
         assert len(empties) == 5
         for i, a in enumerate(empties):
             for b in empties[i + 1 :]:
-                assert not lsh.should_compare(a, b)
-                assert lsh.relatedness(a, b) == 0.0
+                assert (a, b) not in survivors
+                assert filtered_relatedness(lsh, survivors, a, b) == 0.0
+        assert lsh.comparisons == 0
         assert kore.comparisons == 0
 
     def test_empty_entities_do_not_inflate_allowed_pairs(self):
@@ -254,10 +273,8 @@ class TestEmptyEntities:
         populated = [
             e for e in store.entity_ids() if not e.startswith("Empty")
         ]
-        lsh.prepare(populated)
-        without_empties = lsh.allowed_pair_count
-        lsh.prepare(store.entity_ids())
-        assert lsh.allowed_pair_count == without_empties
+        without_empties = lsh.candidate_pairs(populated)
+        assert lsh.candidate_pairs(store.entity_ids()) == without_empties
 
     def test_agrees_with_exact_kore_for_empty_entities(self):
         store = self._store_with_empties(count=2)
@@ -268,9 +285,10 @@ class TestEmptyEntities:
             KoreRelatedness(store, weights),
             LshSettings.recall_geared(),
         )
-        lsh.prepare(store.entity_ids())
+        survivors = lsh.candidate_pairs(store.entity_ids())
         assert exact.relatedness("Empty0", "Empty1") == 0.0
         assert lsh.relatedness("Empty0", "Empty1") == 0.0
+        assert filtered_relatedness(lsh, survivors, "Empty0", "Empty1") == 0.0
 
 
 class TestCanonicalPairs:
@@ -291,18 +309,16 @@ class TestCanonicalPairs:
         kore = KoreRelatedness(store, weights)
         lsh = KoreLshRelatedness(store, kore, LshSettings.recall_geared())
         entities = store.entity_ids()
-        lsh.prepare(entities)
-        allowed = {
-            (a, b)
-            for i, a in enumerate(entities)
-            for b in entities[i + 1 :]
-            if lsh.should_compare(a, b)
+        survivors = lsh.candidate_pairs(entities)
+        universe = {
+            (a, b) for i, a in enumerate(entities) for b in entities[i + 1 :]
         }
-        # should_compare is orientation-insensitive and the allowed set
-        # is exactly the canonical candidate_pairs() output.
-        assert allowed == lsh._task.allowed
-        for a, b in allowed:
-            assert lsh.should_compare(b, a)
+        # The surviving set holds canonical pairs of the entity set only,
+        # and depends on the set, not on the order it is listed in.
+        assert survivors <= universe
+        assert lsh.candidate_pairs(list(reversed(entities))) == survivors
+        for a, b in survivors:
+            assert a <= b
 
 
 @st.composite
@@ -344,11 +360,11 @@ class TestPrunedValuesExactOrZero:
             LshSettings.recall_geared(),
         )
         entities = store.entity_ids()
-        lsh.prepare(entities)
+        survivors = lsh.candidate_pairs(entities)
         for i, a in enumerate(entities):
             for b in entities[i + 1 :]:
-                value = lsh.relatedness(a, b)
-                if lsh.should_compare(a, b):
+                value = filtered_relatedness(lsh, survivors, a, b)
+                if (a, b) in survivors:
                     assert value == exact.relatedness(a, b)
                 else:
                     assert value == 0.0
@@ -364,14 +380,11 @@ class TestThreadLocalTaskState:
         outcomes = {}
 
         def run(label, universe, pair):
-            lsh.prepare(universe)
-            barrier.wait()  # both tasks prepared before either reads
-            outcomes[label] = (
-                lsh.allowed_pair_count,
-                lsh.should_compare(*pair),
-            )
+            barrier.wait()  # both tasks band their sets at once
+            survivors = lsh.candidate_pairs(universe)
+            outcomes[label] = (len(survivors), pair in survivors)
 
-        pair = ("Nick_Cave", "Hallelujah_Cave")
+        pair = ("Hallelujah_Cave", "Nick_Cave")
         t1 = threading.Thread(
             target=run,
             args=("with_pair", ["Nick_Cave", "Hallelujah_Cave"], pair),
@@ -386,16 +399,18 @@ class TestThreadLocalTaskState:
         t2.join()
         assert outcomes["with_pair"][1] is True
         assert outcomes["without_pair"][1] is False
-        # The main thread never prepared: it behaves like exact KORE.
-        assert lsh.should_compare(*pair)
-        assert lsh.allowed_pair_count == 0
+        # Nothing of either task stays behind on the measure.
+        assert lsh.candidate_pairs(list(pair)) == {pair}
+        assert lsh.candidate_pairs(["Nick_Cave", "Hallelujah_Chorus"]) == (
+            set()
+        )
 
     def test_stats_accumulate_across_tasks(self, setup):
         store, weights = setup
         kore = KoreRelatedness(store, weights)
         lsh = KoreLshRelatedness(store, kore, LshSettings.fast())
-        lsh.prepare(store.entity_ids())
-        lsh.prepare(store.entity_ids())
+        lsh.candidate_pairs(store.entity_ids())
+        lsh.candidate_pairs(store.entity_ids())
         assert lsh.prepared_tasks == 2
         total = len(store.entity_ids())
         expected_universe = total * (total - 1) // 2

@@ -47,12 +47,10 @@ def metrics():
     clear_sketch_export_cache()
 
 
-def _spec(kb_dir: str, cache_relatedness: bool = False) -> PipelineSpec:
+def _spec(kb_dir: str) -> PipelineSpec:
     config = AidaConfig.full()
     config.relatedness_backend = "kore_lsh_g"
-    return PipelineSpec(
-        config, kb_dir=kb_dir, cache_relatedness=cache_relatedness
-    )
+    return PipelineSpec(config, kb_dir=kb_dir)
 
 
 def _cached_export(kb_dir: str):
@@ -102,12 +100,13 @@ def test_second_start_reuses_the_cached_export(kb_dir, metrics):
 
 
 def test_cache_wrapped_start_publishes_the_export(kb_dir, metrics):
-    """The export is found under a relatedness cache wrapper too."""
-    pipeline = _spec(kb_dir, cache_relatedness=True).build()
+    """The export is found under the pipeline's memo, which wraps every
+    pipeline's measure."""
+    pipeline = _spec(kb_dir).build()
     assert isinstance(pipeline.relatedness, CachingRelatedness)
     assert isinstance(_cached_export(kb_dir), CompleteSketches)
     baseline = _lsh_counts(metrics)
-    _spec(kb_dir, cache_relatedness=True).build()
+    _spec(kb_dir).build()
     assert _lsh_counts(metrics) == baseline
 
 
@@ -129,15 +128,15 @@ def test_worker_spawn_with_complete_sketches_skips_the_pass(
     after_spawn = _lsh_counts(metrics)
     assert after_spawn == baseline, "worker spawn recomputed sketches"
 
-    lsh = worker.relatedness
+    lsh = worker.relatedness.inner
     assert isinstance(lsh, KoreLshRelatedness)
     assert lsh.precompute() == 0  # complete table: guaranteed no-op
 
     # The worker still *works*: sketches resolve through the shared
-    # table and stage two prepares normally (which may observe
-    # prepare_ms — that is per-request work, not spawn work).
+    # table and stage two runs normally (which may observe prepare_ms —
+    # that is per-request work, not spawn work).
     entities = sorted(kb.entity_ids())[:8]
-    lsh.prepare(entities)
+    lsh.candidate_pairs(entities)
     assert _lsh_counts(metrics)["sketched"] == baseline["sketched"]
 
 

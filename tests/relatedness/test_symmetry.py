@@ -2,9 +2,9 @@
 
 Every relatedness measure is a symmetric function, and the base class is
 the single place where ``(b, a)`` is folded onto ``(a, b)`` — for the
-cache key, the comparison counter, ``should_compare`` pruning, and the
-``_compute`` call.  Milne–Witten and KORE must never see a non-canonical
-pair or store a pair twice.
+memo key, the comparison counter, the ``candidate_pairs`` filter, and
+the ``_compute`` call.  Milne–Witten and KORE must never see a
+non-canonical pair, and a memo never stores a pair twice.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.relatedness import (
     MilneWittenRelatedness,
 )
 from repro.relatedness.base import EntityRelatedness
+from repro.relatedness.caching import CachingRelatedness
 from repro.weights.model import WeightModel
 
 N = 20
@@ -51,21 +52,20 @@ def test_compute_only_ever_sees_canonical_pairs():
     spy = OrderSpy()
     spy.relatedness("Z", "A")
     spy.relatedness("A", "Z")
-    spy.compute_pair("Z", "A")
-    assert spy.seen == [("A", "Z"), ("A", "Z")]
-    # One cached entry, one counted comparison for the cached path plus
-    # one for the explicit uncached call.
-    assert len(spy._cache) == 1
-    assert spy.comparisons == 2
+    CachingRelatedness(spy).relatedness("Z", "A")
+    assert spy.seen == [("A", "Z"), ("A", "Z"), ("A", "Z")]
+    # A measure is pure: every call is one counted comparison.
+    assert spy.comparisons == 3
 
 
 def test_reversed_lookup_hits_the_same_cache_entry():
     spy = OrderSpy()
-    first = spy.relatedness("M", "K")
-    second = spy.relatedness("K", "M")
+    memo = CachingRelatedness(spy)
+    first = memo.relatedness("M", "K")
+    second = memo.relatedness("K", "M")
     assert first == second
     assert spy.comparisons == 1
-    assert len(spy._cache) == 1
+    assert memo.size == 1
 
 
 @pytest.fixture(scope="module")
@@ -77,14 +77,18 @@ def links():
 
 def test_milne_witten_symmetry_regression(links):
     measure = MilneWittenRelatedness(links, N)
+    memo = CachingRelatedness(measure)
     entities = synthetic_entity_ids(N)
     for i, a in enumerate(entities):
         for b in entities[i + 1 :]:
-            forward = measure.relatedness(a, b)
-            backward = measure.relatedness(b, a)
+            forward = memo.relatedness(a, b)
+            backward = memo.relatedness(b, a)
             assert forward == backward
-    # Each unordered pair computed at most once despite both orders.
-    assert measure.comparisons <= N * (N - 1) // 2
+            assert measure.relatedness(b, a) == forward
+    # Through the memo, each unordered pair is computed once despite
+    # both orders; the bare measure counted one more per pair.
+    assert measure.comparisons == 2 * memo.size
+    assert memo.size <= N * (N - 1) // 2
 
 
 def test_jaccard_symmetry_regression(links):
@@ -98,15 +102,20 @@ def test_jaccard_symmetry_regression(links):
 def test_kore_symmetry_regression(kb):
     weights = WeightModel(kb.keyphrases, kb.links)
     measure = KoreRelatedness(kb.keyphrases, weights)
+    memo = CachingRelatedness(measure)
     entities = sorted(kb.entity_ids())[:10]
     for i, a in enumerate(entities):
         for b in entities[i + 1 :]:
-            assert measure.relatedness(a, b) == measure.relatedness(b, a)
-    assert measure.comparisons <= len(entities) * (len(entities) - 1) // 2
+            assert memo.relatedness(a, b) == memo.relatedness(b, a)
+            assert measure.relatedness(b, a) == memo.relatedness(a, b)
+    pairs = len(entities) * (len(entities) - 1) // 2
+    assert measure.comparisons == 2 * pairs
 
 
 def test_compute_pair_matches_relatedness_and_identity():
     spy = OrderSpy()
-    assert spy.compute_pair("Q", "Q") == 1.0
+    memo = CachingRelatedness(spy)
+    assert memo.relatedness("Q", "Q") == 1.0
     assert spy.relatedness("Q", "Q") == 1.0
-    assert spy.compute_pair("A", "B") == spy.relatedness("B", "A")
+    assert spy.comparisons == 0  # identity is never computed
+    assert memo.relatedness("A", "B") == spy.relatedness("B", "A")

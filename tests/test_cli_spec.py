@@ -5,11 +5,11 @@
   spec survives pickling unchanged, and a worker building from the
   unpickled spec — in this process or in a freshly spawned one — gets
   the parent's exact config.  The flag list is derived from the parser
-  actions of the shared flag helpers, plus ``--variant`` and the cache
-  flags, so a flag added later without a spec field fails here.
-* ``evaluate --cache-relatedness`` reports the caches that did the work:
-  the same accuracy lines as the uncached run, with hits > 0, on the
-  thread and process executors and on ``--snapshot``.
+  actions of the shared flag helpers, plus ``--variant``, so a flag
+  added later without a spec field fails here.
+* ``evaluate`` reports the memos that did the work on every run: the
+  same accuracy lines and memo lookups as a serial run, with hits > 0,
+  on the thread and process executors and on ``--snapshot``.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _shaping_actions(command: str):
     cli._add_relatedness_argument(probe)
     cli._add_prerank_arguments(probe)
     dests = {action.dest for action in probe._actions} - {"help"}
-    dests |= {"variant", "cache_relatedness"}
+    dests |= {"variant"}
     return [
         action
         for action in _subparser(command)._actions
@@ -135,7 +135,6 @@ def test_flag_lists_cover_the_shared_helpers():
         "prerank_topk",
         "similarity_backend",
         "variant",
-        "cache_relatedness",
     } <= dests
 
 
@@ -204,8 +203,8 @@ def test_spawned_workers_build_the_parents_config(kb_dir, snap_path):
 
 
 _ACCURACY = re.compile(r"^(micro accuracy|macro accuracy|MAP):", re.M)
-_CACHE = re.compile(
-    r"relatedness cache: (\d+) hits, (\d+) misses "
+_MEMO = re.compile(
+    r"relatedness memo: (\d+) hits, (\d+) misses "
     r"\((\d+\.\d)% hit rate\)"
 )
 
@@ -233,16 +232,23 @@ def test_cache_summary_counts_the_caches_that_did_the_work(
         *_source_args(source, kb_dir, snap_path),
         "--corpus", corpus_path,
         "--relatedness", "kore",
-        "--workers", "2",
-        "--executor", executor,
     ]
-    uncached = _evaluate(capsys, *args)
-    cached = _evaluate(capsys, *args, "--cache-relatedness")
-    assert len(_accuracy_lines(uncached)) == 3
-    assert _accuracy_lines(cached) == _accuracy_lines(uncached)
-    match = _CACHE.search(cached)
-    assert match, cached
-    hits, misses = map(int, match.groups()[:2])
-    assert hits > 0
-    assert misses > 0
-    assert float(match.group(3)) == round(100 * hits / (hits + misses), 1)
+    serial = _evaluate(capsys, *args)
+    pooled = _evaluate(
+        capsys, *args, "--workers", "2", "--executor", executor
+    )
+    assert len(_accuracy_lines(serial)) == 3
+    assert _accuracy_lines(pooled) == _accuracy_lines(serial)
+    counts = []
+    for out in (serial, pooled):
+        match = _MEMO.search(out)
+        assert match, out
+        hits, misses = map(int, match.groups()[:2])
+        assert hits > 0
+        assert misses > 0
+        assert float(match.group(3)) == round(
+            100 * hits / (hits + misses), 1
+        )
+        counts.append(hits + misses)
+    # Lookups are a per-document count: workers fetch what serial does.
+    assert counts[0] == counts[1]

@@ -6,11 +6,11 @@ per-document counters and evaluation metrics of the plain serial loop —
 parallelism and the shared relatedness cache are pure throughput
 optimizations.
 
-Cross-document isolation: one ``kore_lsh_g`` pipeline behind one
-:class:`CachingRelatedness`, shared by 2 and by 4 threads over seeded
-worlds in a seeded shuffled order, must answer every document exactly as
-a fresh serial run does.  That exercises the LSH measure's thread-local
-task state, the shared memo and the solver's per-call counters.
+Cross-document isolation: one ``kore_lsh_g`` pipeline and its one
+:class:`CachingRelatedness` memo, shared by 2 and by 4 threads over
+seeded worlds in a seeded shuffled order, must answer every document
+exactly as a fresh serial run does.  That exercises the LSH measure's
+stateless stage two, the shared memo and the solver's per-call counters.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ LSH_DOCS_PER_WORLD = 24
 
 def _comparable(result):
     """Everything order- and value-relevant: the assignments and the
-    document's counters.  Timings are left out, and so are the
-    ``relatedness_cache_*`` counters, which are cumulative snapshots of
-    a cache shared across documents."""
+    document's counters.  Timings are left out, and so is
+    ``relatedness_computed``: which document first computes a pair
+    depends on what the shared memo saw before it."""
     assignments = [
         (
             assignment.mention,
@@ -52,7 +52,7 @@ def _comparable(result):
     counters = sorted(
         (key, value)
         for key, value in result.stats.counters.items()
-        if not key.startswith("relatedness_cache_")
+        if key != "relatedness_computed"
     )
     return assignments, counters
 
@@ -178,9 +178,7 @@ def test_shared_pipeline_answers_each_document_as_a_fresh_run(
     lsh_world, workers
 ):
     """No document's answer or counters depend on what ran beside it."""
-    shared = assemble_pipeline(
-        lsh_world.kb, lsh_world.config, cache_relatedness=True
-    )
+    shared = assemble_pipeline(lsh_world.kb, lsh_world.config)
     order = list(lsh_world.documents)
     random.Random(lsh_world.seed + workers).shuffle(order)
     runner = BatchRunner(
