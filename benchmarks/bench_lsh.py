@@ -8,10 +8,9 @@ the frontier: pairwise comparisons computed, disambiguation accuracy,
 and wall time.  Comparisons are counted per document (the pipeline's
 memo is cleared between documents), the quantity Table 4.4 reports.
 
-Also runs the zero-fault chaos differential: a ``rate=0.0`` fault spec
-at the ``relatedness`` site counts calls without injecting, confirming
-that every surviving pair fires the site exactly once and is counted
-exactly once (the inner exact measure's counter stays at zero).
+Also runs the single-count differential: one document's coherence pass
+counts every surviving pair exactly once on the LSH wrapper, and the
+inner exact measure's counter stays at zero.
 
 Runs two ways:
 
@@ -24,8 +23,8 @@ Runs two ways:
 
   ``--check`` exits non-zero unless KORE_LSH-G computes at most 1/3 of
   exact KORE's comparisons, both LSH backends keep micro accuracy
-  within one point of the exact path, and the chaos differential holds
-  (the CI ``lsh-smoke`` gate).
+  within one point of the exact path, and the single-count differential
+  holds (the CI ``lsh-smoke`` gate).
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from repro.datagen.io import load_corpus
 from repro.datagen.wikipedia import build_world_kb
 from repro.datagen.world import World, WorldConfig
 from repro.eval.runner import run_disambiguator
-from repro.faults import FaultInjector, FaultSpec, injected
 from repro.relatedness.caching import CachingRelatedness
 
 #: Same seeds as tests/fixtures/golden/generate.py and tests/conftest.py.
@@ -162,7 +160,7 @@ def run_frontier(doc_limit: Optional[int] = None) -> List[Dict[str, object]]:
 
 
 def run_chaos_differential() -> Dict[str, object]:
-    """Zero-fault differential: one fire + one count per surviving pair."""
+    """Single-count differential: one count per surviving pair."""
     kb = golden_kb()
     documents = golden_documents()
     config = AidaConfig.full()
@@ -175,23 +173,17 @@ def run_chaos_differential() -> Dict[str, object]:
             for entity in kb.candidates(mention.surface)
         }
     )
-    injector = FaultInjector([FaultSpec(site="relatedness", rate=0.0)])
-    with injected(injector):
-        _edges, survivors = CachingRelatedness(measure).coherence_edges(
-            entities
-        )
+    _edges, survivors = CachingRelatedness(measure).coherence_edges(
+        entities
+    )
     surviving = len(survivors)
-    stats = injector.stats().get("relatedness", {"calls": 0, "injected": 0})
     return {
         "candidate_entities": len(entities),
         "surviving_pairs": surviving,
-        "injector_calls": stats["calls"],
-        "faults_injected": stats["injected"],
         "wrapper_comparisons": measure.comparisons,
         "inner_comparisons": measure.inner.comparisons,
-        "single_fire_single_count": (
+        "single_count": (
             surviving > 0
-            and stats["calls"] == surviving
             and measure.comparisons == surviving
             and measure.inner.comparisons == 0
         ),
@@ -254,16 +246,17 @@ def check_gates(rows, chaos) -> List[str]:
             "KORE_LSH-F computed more comparisons than KORE_LSH-G "
             "(the speed-geared setting must prune at least as hard)"
         )
-    if not chaos["single_fire_single_count"]:
+    if not chaos["single_count"]:
         failures.append(
             "chaos differential: surviving pairs did not map 1:1 to "
-            f"injector fires/comparison counts ({chaos})"
+            f"comparison counts ({chaos})"
         )
     return failures
 
 
 def test_lsh_smoke(benchmark):
-    """Pytest smoke: the frontier shape and the chaos differential hold.
+    """Pytest smoke: the frontier shape and the single-count differential
+    hold.
 
     Wall-clock is not gated here; the scripted ``--check`` run gates the
     comparison-count and accuracy criteria on the full golden corpus.
@@ -291,8 +284,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--check", action="store_true",
         help="exit non-zero unless KORE_LSH-G computes <= 1/3 of exact "
         "KORE's comparisons with micro accuracy within 1 point, F prunes "
-        "at least as hard as G, and the zero-fault chaos differential "
-        "confirms one fire + one count per surviving pair",
+        "at least as hard as G, and the single-count differential "
+        "confirms one count per surviving pair",
     )
     args = parser.parse_args(argv)
 
@@ -302,10 +295,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(
         "\nchaos differential: "
         f"{chaos['surviving_pairs']} surviving pairs, "
-        f"{chaos['injector_calls']} injector calls, "
         f"{chaos['wrapper_comparisons']} wrapper / "
         f"{chaos['inner_comparisons']} inner comparisons -> "
-        f"{'OK' if chaos['single_fire_single_count'] else 'MISMATCH'}"
+        f"{'OK' if chaos['single_count'] else 'MISMATCH'}"
     )
 
     record = {

@@ -62,14 +62,7 @@ from repro.core.config import (
 from repro.errors import ConfigurationError
 from repro.core.spec import PipelineSpec
 from repro.datagen.wikipedia import build_world_kb
-from repro.faults import (
-    FaultInjector,
-    RetryPolicy,
-    RobustnessConfig,
-    make_resilient,
-    parse_fault_spec,
-    set_injector,
-)
+from repro.faults import RobustnessConfig, make_resilient
 from repro.datagen.world import World, WorldConfig
 from repro.kb.io import load_knowledge_base, save_knowledge_base
 from repro.ner.classifier import NamedEntityClassifier
@@ -484,11 +477,6 @@ def _add_robustness_arguments(sub: argparse.ArgumentParser) -> None:
     """Robustness flags shared by ``disambiguate`` and ``evaluate``."""
     group = sub.add_argument_group("robustness")
     group.add_argument(
-        "--retries", type=int, default=0, metavar="N",
-        help="retry a document up to N extra times on transient "
-        "failures (exponential backoff with seeded jitter)",
-    )
-    group.add_argument(
         "--deadline-ms", type=float, default=None, metavar="MS",
         help="soft per-attempt deadline; checked cooperatively at "
         "pipeline stage boundaries and solver iterations",
@@ -498,17 +486,6 @@ def _add_robustness_arguments(sub: argparse.ArgumentParser) -> None:
         help="on failure, walk the degradation ladder (full joint AIDA "
         "-> coherence-off -> prior-only) instead of failing the document",
     )
-    group.add_argument(
-        "--inject", action="append", default=[], metavar="SPEC",
-        help="chaos-inject faults: site[:rate[:kind[:max|ms]]] with "
-        "sites kb.lookup, similarity, relatedness, solver.iteration, "
-        "worker, snapshot.write and kinds transient, permanent, latency "
-        "(repeatable)",
-    )
-    group.add_argument(
-        "--inject-seed", type=int, default=0,
-        help="seed of the fault injector's decision streams",
-    )
 
 
 def _robustness_config(
@@ -516,34 +493,9 @@ def _robustness_config(
 ) -> Optional[RobustnessConfig]:
     """The RobustnessConfig the flags describe, or None when inert."""
     config = RobustnessConfig(
-        retries=args.retries,
-        deadline_ms=args.deadline_ms,
-        degrade=args.degrade,
-        backoff=RetryPolicy(seed=args.inject_seed),
+        deadline_ms=args.deadline_ms, degrade=args.degrade
     )
     return None if config.inert else config
-
-
-class _InjectorSession:
-    """Install the chaos injector the ``--inject`` flags describe."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.injector = None
-        specs = [parse_fault_spec(text) for text in args.inject]
-        if specs:
-            self.injector = FaultInjector(specs, seed=args.inject_seed)
-            self._previous = set_injector(self.injector)
-
-    def finish(self) -> None:
-        """Restore the previous injector and report what fired."""
-        if self.injector is None:
-            return
-        set_injector(self._previous)
-        for site, counts in self.injector.stats().items():
-            print(
-                f"chaos: {site}: {counts['injected']} faults "
-                f"in {counts['calls']} calls"
-            )
 
 
 class _ObsSession:
@@ -612,7 +564,6 @@ def cmd_generate_kb(args: argparse.Namespace) -> int:
 def cmd_disambiguate(args: argparse.Namespace) -> int:
     """Handle ``disambiguate``: NER + AIDA over the input text."""
     obs = _ObsSession(args)
-    chaos = _InjectorSession(args)
     try:
         text = _input_text(args)
         pipeline = _pipeline_spec(args).build()
@@ -638,7 +589,6 @@ def cmd_disambiguate(args: argparse.Namespace) -> int:
             )
         return 0
     finally:
-        chaos.finish()
         obs.finish()
 
 
@@ -728,7 +678,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.faults import ResilientFactory
 
     obs = _ObsSession(args)
-    chaos = _InjectorSession(args)
     try:
         documents = load_corpus(args.corpus)
         spec = _pipeline_spec(args)
@@ -780,7 +729,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
         return 0
     finally:
-        chaos.finish()
         obs.finish()
 
 
@@ -789,12 +737,10 @@ def _serving_robustness(args: argparse.Namespace) -> RobustnessConfig:
     shed ladder requires it) and the SLO doubles as the per-attempt
     deadline unless --deadline-ms overrides it."""
     return RobustnessConfig(
-        retries=args.retries,
         deadline_ms=(
             args.deadline_ms if args.deadline_ms else args.slo_ms
         ),
         degrade=True,
-        backoff=RetryPolicy(seed=args.inject_seed),
     )
 
 
@@ -837,7 +783,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving import DisambiguationServer, ServingConfig
 
     obs = _ObsSession(args)
-    chaos = _InjectorSession(args)
     # The /metrics endpoint and the shed counters need a live registry
     # even without --metrics-out, and --trace-export needs a live tracer
     # even without --trace-out.
@@ -878,7 +823,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             set_metrics(own_metrics)
         if own_tracer is not None:
             set_tracer(own_tracer)
-        chaos.finish()
         obs.finish()
 
 

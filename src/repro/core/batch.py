@@ -53,7 +53,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.errors import ReproError, classify_error, describe_error
-from repro.faults.injector import get_injector
 from repro.obs import (
     MetricsRegistry,
     TraceContext,
@@ -276,9 +275,6 @@ def _process_task(
     """
     try:
         with use_context(context):
-            injector = get_injector()
-            if injector.enabled:
-                injector.fire("worker")
             result = _process_pipeline.disambiguate(document)
             failure = None
     except Exception as exc:
@@ -363,9 +359,6 @@ class BatchRunner:
         # of the run.
         try:
             with use_context(context):
-                injector = get_injector()
-                if injector.enabled:
-                    injector.fire("worker")
                 result = self._worker_pipeline().disambiguate(document)
             return index, result, None, None
         except Exception as exc:

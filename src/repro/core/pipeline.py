@@ -38,7 +38,6 @@ from repro.compiled.keyphrases import CompiledKeyphrases
 from repro.core.config import AidaConfig, PriorMode
 from repro.core.robustness import passes_prior_test, should_fix_mention
 from repro.faults.deadline import check_budget
-from repro.faults.injector import get_injector
 from repro.graph.dense_subgraph import GreedyDenseSubgraph, SolverStats
 from repro.graph.mention_entity_graph import MentionEntityGraph
 from repro.kb.keyphrases import KeyphraseStore
@@ -489,14 +488,11 @@ class AidaDisambiguator:
             restrictions = coreference_candidate_restriction(
                 document, self.kb.candidates
             )
-        injector = get_injector()
         candidates: Dict[int, List[EntityId]] = {}
         for index in active:
             if index in fixed:
                 candidates[index] = [fixed[index]]
                 continue
-            if injector.enabled:
-                injector.fire("kb.lookup")
             surface = mentions[index].surface
             if index in restrictions:
                 found = list(restrictions[index])
@@ -533,7 +529,6 @@ class AidaDisambiguator:
         skipped entirely.  That makes the ``prior_only`` degradation rung
         genuinely cheaper and independent of the similarity subsystem.
         """
-        injector = get_injector()
         needs_similarity = (
             self.config.prior_mode is not PriorMode.ONLY
             or self.config.use_coherence
@@ -549,8 +544,6 @@ class AidaDisambiguator:
                 continue
             sims: Dict[EntityId, float] = {}
             if needs_similarity:
-                if injector.enabled:
-                    injector.fire("similarity")
                 if indexed is None:
                     indexed = self.similarity.index(
                         DocumentContext(document)

@@ -3,17 +3,19 @@
 All library-specific errors derive from :class:`ReproError` so callers can
 catch one base class. Specific subclasses signal which subsystem failed.
 
-On top of the subsystem hierarchy sits a *robustness taxonomy* used by the
-fault-tolerance layer (:mod:`repro.faults`):
+On top of the subsystem hierarchy sits a *robustness taxonomy*; every
+failure the batch and serving layers record carries its bucket
+(:func:`classify_error`):
 
 * **transient** errors (the :class:`Retryable` mixin, plus the standard
-  library's timeout/connection families) are worth retrying — the same
-  call may succeed a moment later;
-* **permanent** errors will fail identically on every retry; the only
-  useful reaction is degrading to a cheaper pipeline configuration;
+  library's timeout/connection families) are momentary — the same call
+  may succeed a moment later;
+* **permanent** errors will fail identically on every call;
 * **deadline** errors (:class:`DeadlineExceeded`) mean the per-document
-  budget ran out — retrying the same configuration would run out again,
-  so they also trigger degradation, never a retry.
+  budget ran out.
+
+The robustness layer (:mod:`repro.faults`) reacts to all three the same
+way: it degrades to a cheaper pipeline configuration.
 
 ``KeyboardInterrupt``/``SystemExit`` derive from ``BaseException`` and are
 deliberately outside the taxonomy: every catch site in the batch and
@@ -68,9 +70,8 @@ class DatasetError(ReproError):
 class Retryable:
     """Mixin marking an exception as transient: a retry may succeed.
 
-    Mix into any exception class (library or injected) whose failure mode
-    is expected to be momentary — lock contention, a flaky backend, an
-    injected chaos fault configured as transient.
+    Mix into any exception class whose failure mode is expected to be
+    momentary — lock contention, a flaky backend.
     """
 
 

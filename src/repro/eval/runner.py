@@ -115,8 +115,8 @@ def run_disambiguator(
     factories).  Scoring is always serial and in input order, so the
     evaluation is bit-identical across worker counts.
 
-    ``robustness`` wraps the pipeline in the retry / deadline /
-    degradation layer (:mod:`repro.faults.resilient`) before anything
+    ``robustness`` wraps the pipeline in the deadline / degradation
+    layer (:mod:`repro.faults.resilient`) before anything
     runs; an explicit ``batch`` runner is used as given — wrap its
     pipeline or factory yourself for full control.
     """

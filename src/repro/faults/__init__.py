@@ -1,18 +1,16 @@
-"""Fault injection and graceful degradation (``repro.faults``).
+"""Deadlines and graceful degradation (``repro.faults``).
 
-Four pieces, composable but independent:
+Two pieces, composable but independent:
 
-* :mod:`repro.faults.injector` — deterministic, seedable chaos faults at
-  named sites in the execution stack (no-op by default);
-* :mod:`repro.faults.retry` — bounded retry with seeded exponential
-  backoff + jitter for transient failures;
 * :mod:`repro.faults.deadline` — cooperative per-attempt soft deadlines
   checked at pipeline stage boundaries and solver iterations;
 * :mod:`repro.faults.resilient` — the degradation ladder (full joint
-  AIDA → coherence-off → prior-only) tying the above together per
-  document.
+  AIDA → coherence-off → prior-only) tying a deadline to each rung's one
+  attempt per document.
 
-See ``docs/robustness.md`` for the full story and the error taxonomy in
+Chaos testing lives outside the package: ``tests/faults/chaos.py`` wraps
+a built pipeline's entry points to raise seeded faults.  See
+``docs/robustness.md`` for the full story and the error taxonomy in
 :mod:`repro.errors`.
 """
 
@@ -23,23 +21,6 @@ from repro.faults.deadline import (
     budget_scope,
     check_budget,
     current_budget,
-)
-from repro.faults.injector import (
-    NULL_INJECTOR,
-    FaultInjector,
-    FaultSpec,
-    InjectedPermanentFault,
-    InjectedTransientFault,
-    SITES,
-    get_injector,
-    injected,
-    parse_fault_spec,
-    set_injector,
-)
-from repro.faults.retry import (
-    RetryPolicy,
-    backoff_schedule,
-    call_with_retry,
 )
 from repro.faults.resilient import (
     DEGRADATION_LADDER,
@@ -55,19 +36,6 @@ __all__ = [
     "budget_scope",
     "check_budget",
     "current_budget",
-    "NULL_INJECTOR",
-    "FaultInjector",
-    "FaultSpec",
-    "InjectedPermanentFault",
-    "InjectedTransientFault",
-    "SITES",
-    "get_injector",
-    "injected",
-    "parse_fault_spec",
-    "set_injector",
-    "RetryPolicy",
-    "backoff_schedule",
-    "call_with_retry",
     "DEGRADATION_LADDER",
     "ResilientDisambiguator",
     "ResilientFactory",

@@ -1,11 +1,11 @@
-"""Graceful degradation: retry, deadline, and the configuration ladder.
+"""Graceful degradation: deadline and the configuration ladder.
 
 A production NED service should degrade, not fail: when the full joint
-AIDA inference cannot produce a result for a document — transient backend
-faults that outlive the retry budget, a permanent fault, or a blown
-per-document deadline — it should fall back to a cheaper, more reliable
-configuration, exactly as the dissertation's robustness tests disable
-unreliable features per mention.  The ladder, in order:
+AIDA inference cannot produce a result for a document — a transient or
+permanent fault, or a blown per-document deadline — it should fall back
+to a cheaper, more reliable configuration, exactly as the dissertation's
+robustness tests disable unreliable features per mention.  The ladder,
+in order:
 
 1. ``full`` — whatever configuration the wrapped pipeline was built with
    (typically full joint AIDA with graph coherence);
@@ -17,9 +17,10 @@ unreliable features per mention.  The ladder, in order:
 
 :class:`ResilientDisambiguator` wraps any ``AidaDisambiguator``-shaped
 pipeline (duck-typed: ``config`` plus ``with_config`` enable the ladder;
-anything else still gets retry + deadline with a single rung).  Every
-result records the rung that produced it and the total number of
-attempts on ``DisambiguationResult.degradation_rung``/``.attempts``.
+anything else still gets the deadline with a single rung).  Each rung
+makes one attempt.  Every result records the rung that produced it and
+the number of attempts (rungs tried) on
+``DisambiguationResult.degradation_rung``/``.attempts``.
 
 Per attempt, a fresh :class:`~repro.faults.deadline.Budget` is armed: the
 soft deadline bounds each *attempt*, so a degraded rung gets its own time
@@ -31,12 +32,11 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError, classify_error
 from repro.faults.deadline import Budget, budget_scope
-from repro.faults.retry import RetryPolicy, call_with_retry
 from repro.obs import get_metrics, get_tracer, log_event
 
 _LOG = logging.getLogger("repro.robust")
@@ -53,35 +53,25 @@ DEGRADATION_LADDER: Tuple[str, ...] = (
 class RobustnessConfig:
     """Knobs of the robustness layer.
 
-    An all-defaults instance is inert (no retries, no deadline, no
-    degradation) — :func:`make_resilient` then returns the pipeline
-    unwrapped.  The config is picklable, so process-pool factories can
-    carry it across the pickle wall (see :class:`ResilientFactory`).
+    An all-defaults instance is inert (no deadline, no degradation) —
+    :func:`make_resilient` then returns the pipeline unwrapped.  The
+    config is picklable, so process-pool factories can carry it across
+    the pickle wall (see :class:`ResilientFactory`).
     """
 
-    #: Extra attempts per rung for transient failures.
-    retries: int = 0
     #: Soft per-attempt deadline in milliseconds (``None`` = unbounded).
     deadline_ms: Optional[float] = None
     #: Walk the degradation ladder instead of failing the document.
     degrade: bool = False
-    #: Backoff shape for the retries.
-    backoff: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ConfigurationError("retries must be >= 0")
         if self.deadline_ms is not None and self.deadline_ms <= 0.0:
             raise ConfigurationError("deadline_ms must be None or > 0")
 
     @property
     def inert(self) -> bool:
         """Whether this config changes nothing about execution."""
-        return (
-            self.retries == 0
-            and self.deadline_ms is None
-            and not self.degrade
-        )
+        return self.deadline_ms is None and not self.degrade
 
 
 def degrade_config(config, rung: str):
@@ -106,7 +96,7 @@ def degrade_config(config, rung: str):
 
 
 class ResilientDisambiguator:
-    """Retry / deadline / degradation wrapper around a pipeline.
+    """Deadline / degradation wrapper around a pipeline.
 
     Unknown attributes delegate to the wrapped (full-rung) pipeline, so
     the wrapper is a drop-in anywhere an ``AidaDisambiguator`` is used
@@ -146,100 +136,51 @@ class ResilientDisambiguator:
     # ------------------------------------------------------------------
     def disambiguate(self, document, *, start_rung: Optional[str] = None,
                      **kwargs):
-        """Disambiguate with retries, deadline, and the ladder.
+        """Disambiguate under the deadline, walking the ladder on failure.
 
         ``start_rung`` slices the ladder: the walk begins at that rung
         instead of ``full`` (the serving layer's load shedding — an
-        admission-degraded request reuses the same retry, budget, and
-        attempts accounting as a failure-degraded one).  An unknown rung
-        or a rung this wrapper cannot build falls back to the full
-        ladder.
+        admission-degraded request reuses the same budget and attempts
+        accounting as a failure-degraded one).  An unknown rung or a
+        rung this wrapper cannot build falls back to the full ladder.
 
-        Raises the *last* rung's error only after every rung failed.
+        Each rung makes one attempt, whatever the error's kind.  Raises
+        the *last* rung's error only after every rung failed.
         """
-        attempts = 0
-        last_error: Optional[Exception] = None
         ladder = self.ladder
         if start_rung is not None and start_rung in ladder:
             ladder = ladder[ladder.index(start_rung):]
-        for position, rung in enumerate(ladder):
-            policy = self._policy_for(document, rung)
-            # ``on_retry`` fires once per performed retry with the retry
-            # count so far — the exact attempt tally whether the rung ends
-            # in success or exhaustion.
-            retries_done = 0
-            log_retry = self._log_retry(document, rung)
-
-            def on_retry(attempt: int, error: BaseException) -> None:
-                nonlocal retries_done
-                retries_done = attempt
-                log_retry(attempt, error)
-
+        rungs = len(ladder)
+        for attempts, rung in enumerate(ladder, start=1):
             try:
-                result = call_with_retry(
-                    self._attempt(rung, document, kwargs),
-                    policy,
-                    on_retry=on_retry,
-                )
+                result = self._attempt(rung, document, kwargs)
             except Exception as error:
-                attempts += 1 + retries_done
-                last_error = error
-                if position + 1 < len(ladder):
+                if attempts < rungs:
                     self._note_degradation(document, rung, error)
                     continue
                 # Let failure recorders (the batch layer) report how much
                 # work the document consumed before giving up.
                 error.robust_attempts = attempts
                 raise
-            attempts += 1 + retries_done
             result.degradation_rung = rung
             result.attempts = attempts
             self._publish(rung)
             return result
-        raise last_error  # pragma: no cover — loop always returns/raises
 
     def _attempt(self, rung: str, document, kwargs):
-        """One budgeted attempt closure for ``call_with_retry``."""
-        robustness = self.robustness
-
-        def run():
-            with get_tracer().span(
-                f"rung.{rung}",
-                category="robust",
-                doc_id=getattr(document, "doc_id", ""),
+        """One budgeted attempt of *rung*'s pipeline."""
+        deadline_ms = self.robustness.deadline_ms
+        with get_tracer().span(
+            f"rung.{rung}",
+            category="robust",
+            doc_id=getattr(document, "doc_id", ""),
+        ):
+            with budget_scope(
+                Budget(deadline_ms) if deadline_ms is not None else None
             ):
-                with budget_scope(
-                    Budget(robustness.deadline_ms)
-                    if robustness.deadline_ms is not None
-                    else None
-                ):
-                    return self.pipeline_for(rung).disambiguate(
-                        document, **kwargs
-                    )
-
-        return run
-
-    def _policy_for(self, document, rung: str) -> RetryPolicy:
-        base = self.robustness.backoff
-        policy = dataclasses.replace(
-            base, retries=self.robustness.retries
-        )
-        doc_id = getattr(document, "doc_id", "")
-        return policy.for_key(f"{doc_id}:{rung}")
-
-    def _log_retry(self, document, rung: str):
-        def on_retry(attempt: int, error: BaseException) -> None:
-            if _LOG.isEnabledFor(logging.DEBUG):
-                log_event(
-                    _LOG,
-                    "robust.retry",
-                    doc_id=getattr(document, "doc_id", ""),
-                    rung=rung,
-                    attempt=attempt,
-                    error=f"{type(error).__name__}: {error}",
+                return self.pipeline_for(rung).disambiguate(
+                    document, **kwargs
                 )
-
-        return on_retry
 
     def _note_degradation(self, document, rung: str, error) -> None:
         metrics = get_metrics()

@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import GraphError
 from repro.faults.deadline import check_budget
-from repro.faults.injector import get_injector
 from repro.graph.mention_entity_graph import MentionEntityGraph
 from repro.graph.shortest_paths import entity_mention_distances
 from repro.obs import get_metrics, get_tracer, log_event
@@ -202,11 +201,8 @@ class GreedyDenseSubgraph:
         heapq.heapify(min_heap)
         best_objective = self._peek_objective(graph, min_heap, stats)
         stats.best_objective = best_objective
-        injector = get_injector()
         while True:
             check_budget("solver.iteration")
-            if injector.enabled:
-                injector.fire("solver.iteration")
             victim = self._pop_victim(graph, victim_heap, stats)
             if victim is None:
                 break

@@ -56,7 +56,6 @@ from repro.compiled.keyphrases import (
 )
 from repro.compiled.vocabulary import UNKNOWN, Vocabulary
 from repro.errors import KnowledgeBaseError, PermanentError, UnknownEntityError
-from repro.faults.injector import get_injector
 from repro.kb.dictionary import (
     SOURCE_ANCHOR,
     SOURCE_DISAMBIGUATION,
@@ -127,9 +126,6 @@ class _SectionWriter:
         self.sections: List[Dict[str, Any]] = []
 
     def add(self, name: str, data: bytes) -> None:
-        injector = get_injector()
-        if injector.enabled:
-            injector.fire("snapshot.write")
         pad = (-self._offset) % _ALIGN
         if pad:
             self._handle.write(b"\x00" * pad)
@@ -193,8 +189,8 @@ def build_snapshot(
     :class:`~repro.embeddings.model.EmbeddingModel` as zero-copy
     ``emb/*`` sections (the dense pre-ranker and embedding measures then
     attach without training).  Returns the manifest.  The write is
-    temp-file + rename: the destination is never left torn, even on
-    crash or injected fault.
+    temp-file + rename: the destination is never left torn, even when
+    the process crashes or a section write raises.
     """
     for gearing in gearings:
         if gearing not in GEARINGS:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Iterable, Optional, Set, Tuple
 
-from repro.faults.injector import get_injector
 from repro.types import EntityId
 
 #: A canonical ``(a, b)`` pair with ``a <= b``.
@@ -45,16 +44,12 @@ class EntityRelatedness(ABC):
         """The exact relatedness of the pair; identical ids are fully
         related.
 
-        Every call with two distinct ids is one counted computation and
-        one fire of the ``relatedness`` chaos site; the subclass value is
-        clamped into [0, 1].
+        Every call with two distinct ids is one counted computation; the
+        subclass value is clamped into [0, 1].
         """
         if a == b:
             return 1.0
         first, second = self.canonical_pair(a, b)
-        injector = get_injector()
-        if injector.enabled:
-            injector.fire("relatedness")
         self.comparisons += 1
         value = float(self._compute(first, second))
         return min(max(value, 0.0), 1.0)

@@ -436,7 +436,7 @@ class KoreLshRelatedness(EntityRelatedness):
 
     def _compute(self, a: EntityId, b: EntityId) -> float:
         # The inner measure's raw value: this wrapper's ``relatedness``
-        # already fired the chaos site and counted the comparison.
+        # already counted the comparison.
         return self._kore._compute(a, b)
 
 

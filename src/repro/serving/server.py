@@ -14,9 +14,13 @@ stdin-JSONL pump — and funnels both through one submit path:
    :class:`~repro.core.batch.BatchRunner` on a dedicated thread, every
    document routed into the wrapped
    :class:`~repro.faults.resilient.ResilientDisambiguator` *at its
-   admitted rung* — rung walking, retries, per-attempt
+   admitted rung* — rung walking, per-attempt
    :class:`~repro.faults.Budget` deadlines and attempts accounting are
    all the existing robustness machinery, not a serving re-implementation.
+
+The HTTP parser is bounded: a request must be read within
+:data:`REQUEST_READ_TIMEOUT_S` (else 408), and its request line, header
+lines and declared body are capped (414, 431, 413).
 
 Results resolve per-request futures on the event loop; latency feeds
 back into the admission policy's p99 signal, closing the shedding loop.
@@ -72,6 +76,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Content Too Large",
     414: "URI Too Long",
     429: "Too Many Requests",
@@ -85,6 +90,10 @@ MAX_BODY_BYTES = 1 << 20
 
 #: Most header lines one request may carry; more are answered 431.
 MAX_HEADER_LINES = 100
+
+#: Seconds a client has to send its whole request (request line, headers
+#: and body); a slower one is answered 408.
+REQUEST_READ_TIMEOUT_S = 5.0
 
 
 class _RequestRejected(Exception):
@@ -678,7 +687,15 @@ class DisambiguationServer:
     ) -> None:
         status, payload, headers = 500, {"error": "internal"}, {}
         try:
-            method, path, body = await self._read_request(reader)
+            try:
+                method, path, body = await asyncio.wait_for(
+                    self._read_request(reader), REQUEST_READ_TIMEOUT_S
+                )
+            except asyncio.TimeoutError:
+                raise _RequestRejected(
+                    408,
+                    f"request not read within {REQUEST_READ_TIMEOUT_S} s",
+                )
             status, payload = await self._route(method, path, body)
         except _RequestRejected as exc:
             status = exc.status

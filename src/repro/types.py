@@ -161,8 +161,8 @@ class DisambiguationResult:
     ``degradation_rung`` records which rung of the graceful-degradation
     ladder produced this result (see :mod:`repro.faults.resilient`);
     pipelines outside the robustness layer always report ``"full"``.
-    ``attempts`` counts pipeline attempts including retries and degraded
-    re-runs (1 when nothing went wrong).
+    ``attempts`` counts pipeline attempts, one per ladder rung tried (1
+    when nothing went wrong).
     """
 
     doc_id: str

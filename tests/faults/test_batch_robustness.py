@@ -3,8 +3,9 @@
 Covers the batch-side satellite work: ``DocumentFailure`` records routed
 through the error taxonomy (control-flow exceptions must escape), the
 resilient wrapper riding inside :class:`BatchRunner` workers, and an
-8-thread stress run under injected worker latency that must stay
-input-ordered and bit-identical to the serial pass.
+8-thread stress run under chaos worker latency
+(``tests/faults/chaos.py``) that must stay input-ordered and
+bit-identical to the serial pass.
 """
 
 from __future__ import annotations
@@ -12,24 +13,32 @@ from __future__ import annotations
 import pytest
 
 from repro.core.batch import BatchConfig, BatchRunner
+from repro.core.config import AidaConfig
 from repro.core.pipeline import AidaDisambiguator
 from repro.errors import PermanentError, TransientError
-from repro.faults.injector import FaultInjector, FaultSpec, injected
 from repro.faults.resilient import RobustnessConfig, make_resilient
-from repro.faults.retry import RetryPolicy
 from repro.obs import MetricsRegistry, set_metrics
 from repro.relatedness import CachingRelatedness, MilneWittenRelatedness
 from repro.types import DisambiguationResult
 
-NO_SLEEP = RetryPolicy(base_ms=0.0, max_ms=0.0, jitter=0.0)
+from tests.faults.chaos import Chaos, Fault
 
 
 class _FlakyPipeline:
-    """Raises a transient error the first *flaky_calls* times per doc."""
+    """Raises a transient error the first *flaky_calls* times per doc.
+
+    ``config`` and ``with_config`` (every rung is this same pipeline)
+    give it the degradation ladder.
+    """
+
+    config = AidaConfig()
 
     def __init__(self, flaky_calls: int = 1):
         self.flaky_calls = flaky_calls
         self.seen = {}
+
+    def with_config(self, config) -> "_FlakyPipeline":
+        return self
 
     def disambiguate(self, document) -> DisambiguationResult:
         count = self.seen.get(document.doc_id, 0) + 1
@@ -72,23 +81,32 @@ def _cached_pipeline(kb):
 
 class TestFailureRecords:
     def test_flaky_pipeline_recovers_with_retries(self, sample_docs):
+        """Nothing retries inside the run: each document fails once,
+        isolated, and resubmitting the failed documents recovers them."""
         pipeline = make_resilient(
-            _FlakyPipeline(flaky_calls=2),
-            RobustnessConfig(retries=2, backoff=NO_SLEEP),
+            _FlakyPipeline(flaky_calls=1), RobustnessConfig(deadline_ms=1e6)
         )
         documents = [annotated.document for annotated in sample_docs]
-        outcome = BatchRunner(pipeline=pipeline).run(documents)
+        runner = BatchRunner(pipeline=pipeline)
+        first = runner.run(documents)
+        assert [f.doc_id for f in first.failures] == [
+            d.doc_id for d in documents
+        ]
+        assert all(f.attempts == 1 for f in first.failures)
+        assert first.failure_kinds == {"transient": len(documents)}
+        outcome = runner.run(documents)
         assert outcome.ok
         assert [r.doc_id for r in outcome.results] == [
             d.doc_id for d in documents
         ]
-        assert all(r.attempts == 3 for r in outcome.results)
+        assert all(r.attempts == 1 for r in outcome.results)
         assert outcome.rung_counts == {"full": len(documents)}
 
     def test_transient_exhaustion_recorded_with_attempts(self, sample_docs):
+        """A transient error on every rung fails the document; its
+        ``attempts`` counts the rungs tried."""
         pipeline = make_resilient(
-            _FlakyPipeline(flaky_calls=99),
-            RobustnessConfig(retries=2, backoff=NO_SLEEP),
+            _FlakyPipeline(flaky_calls=99), RobustnessConfig(degrade=True)
         )
         documents = [annotated.document for annotated in sample_docs[:3]]
         outcome = BatchRunner(pipeline=pipeline).run(documents)
@@ -96,7 +114,7 @@ class TestFailureRecords:
         assert len(outcome.failures) == len(documents)
         for failure in outcome.failures:
             assert failure.kind == "transient"
-            assert failure.attempts == 3  # 1 + 2 retries
+            assert failure.attempts == 3  # one per rung
         assert outcome.failure_kinds == {"transient": len(documents)}
 
     def test_permanent_failure_kind(self, sample_docs):
@@ -131,15 +149,10 @@ class TestResilientBatchIntegration:
         self, kb, sample_docs
     ):
         pipeline = make_resilient(
-            AidaDisambiguator(kb),
-            RobustnessConfig(degrade=True, backoff=NO_SLEEP),
+            AidaDisambiguator(kb), RobustnessConfig(degrade=True)
         )
         documents = [annotated.document for annotated in sample_docs]
-        injector = FaultInjector(
-            [FaultSpec(site="relatedness", rate=1.0, kind="permanent")],
-            seed=0,
-        )
-        with injected(injector):
+        with Chaos(pipeline, [Fault("relatedness", kind="permanent")]):
             outcome = BatchRunner(pipeline=pipeline).run(documents)
         assert outcome.ok
         rungs = outcome.rung_counts
@@ -150,8 +163,8 @@ class TestResilientBatchIntegration:
 
 class TestThreadStress:
     def test_eight_threads_under_latency(self, kb, sample_docs):
-        """Satellite 4: 8 threads + injected worker latency stay ordered,
-        bit-identical to serial, and drain the queue-depth gauge."""
+        """8 threads + chaos worker latency stay ordered, bit-identical
+        to serial, and drain the queue-depth gauge."""
         documents = [
             annotated.document for annotated in sample_docs
         ] * 3
@@ -161,18 +174,12 @@ class TestThreadStress:
         ]
         registry = MetricsRegistry()
         previous = set_metrics(registry)
-        injector = FaultInjector(
-            [
-                FaultSpec(
-                    site="worker", rate=1.0, kind="latency", latency_ms=2.0
-                )
-            ],
-            seed=0,
-        )
+        pipeline = _cached_pipeline(kb)
+        latency = Fault("worker", kind="latency", latency_ms=2.0)
         try:
-            with injected(injector):
+            with Chaos(pipeline, [latency]) as chaos:
                 outcome = BatchRunner(
-                    pipeline=_cached_pipeline(kb),
+                    pipeline=pipeline,
                     config=BatchConfig(
                         workers=8, executor="thread", max_pending=12
                     ),
@@ -186,4 +193,4 @@ class TestThreadStress:
         assert [_comparable(r) for r in outcome.results] == serial
         snapshot = registry.snapshot()
         assert snapshot["gauges"]["batch.queue_depth"] == 0
-        assert injector.stats()["worker"]["calls"] == len(documents)
+        assert chaos.triggers["worker"].calls == len(documents)

@@ -2,14 +2,17 @@
 
 Twenty seeded synthetic worlds (override the base seed with
 ``CHAOS_BASE_SEED``), each disambiguated fault-free once, then re-run
-under three chaos regimes:
+through the resilient wrapper with the chaos fixture installed
+(``tests/faults/chaos.py``):
 
-(a) the robustness layer armed with **zero** faults must be bit-identical
-    to the bare pipeline — the wrapper is pure plumbing on the happy path;
-(b) **transient** faults capped by ``max_faults`` ("dependency down for
-    exactly N requests, then recovers") plus enough retries must converge
-    to the fault-free assignments, bit for bit;
-(c) **permanent** faults with degradation enabled must lose no document:
+(a) the fixture installed with **zero** rate changes nothing — the
+    wrapper and the wrapped entry points are pure plumbing on the happy
+    path;
+(b) **transient** faults capped by ``max_faults`` degrade the documents
+    they hit, and a failed attempt leaves no state behind: every
+    document that meets no fault, and every document run after the caps
+    are spent, equals the fault-free baseline at the ``full`` rung;
+(c) **permanent** faults with degradation enabled lose no document:
     every document reports the ladder rung that produced it.
 """
 
@@ -23,9 +26,13 @@ from repro.core.pipeline import AidaDisambiguator
 from repro.datagen.documents import DocumentGenerator, DocumentSpec
 from repro.datagen.wikipedia import build_world_kb
 from repro.datagen.world import World, WorldConfig
-from repro.faults.injector import FaultInjector, FaultSpec, injected
-from repro.faults.resilient import RobustnessConfig, make_resilient
-from repro.faults.retry import RetryPolicy
+from repro.faults.resilient import (
+    DEGRADATION_LADDER,
+    RobustnessConfig,
+    make_resilient,
+)
+
+from tests.faults.chaos import TARGETS, Chaos, Fault
 
 BASE_SEED = int(os.environ.get("CHAOS_BASE_SEED", "1307"))
 WORLD_SEEDS = [BASE_SEED + i for i in range(20)]
@@ -33,20 +40,20 @@ WORLD_SEEDS = [BASE_SEED + i for i in range(20)]
 DOCS_PER_WORLD = 4
 MENTIONS_PER_DOC = 4
 
-#: Transient-fault regime for test (b).  Every spec carries a
-#: ``max_faults`` cap, so the total fault mass is 10: with 12 retries even
-#: a single document absorbing every fault converges.
-TRANSIENT_SPECS = [
-    FaultSpec(site="kb.lookup", rate=1.0, kind="transient", max_faults=2),
-    FaultSpec(site="relatedness", rate=0.3, kind="transient", max_faults=3),
-    FaultSpec(site="similarity", rate=0.25, kind="transient", max_faults=3),
-    FaultSpec(
-        site="solver.iteration", rate=0.2, kind="transient", max_faults=2
-    ),
+#: Transient regime for test (b).  ``kb`` fires on the run's first call
+#: and is then spent, so a ``prior_only`` attempt (which calls nothing
+#: else here) never faults and no document is lost.  ``relatedness``
+#: fires on about half the memo misses, so a fault can cut a document's
+#: coherence pass after the memo took some of its values.
+TRANSIENT_FAULTS = [
+    Fault("kb", rate=1.0, kind="transient", max_faults=1),
+    Fault("similarity", rate=0.25, kind="transient", max_faults=3),
+    Fault("relatedness", rate=0.5, kind="transient", max_faults=2),
+    Fault("solver", rate=0.5, kind="transient", max_faults=2),
 ]
 
-#: Backoff with zero sleep: chaos runs exercise ordering, not wall time.
-NO_SLEEP_BACKOFF = RetryPolicy(base_ms=0.0, max_ms=0.0, jitter=0.0)
+#: Passes over a world's documents before the caps must be spent.
+MAX_PASSES = 4
 
 
 def _comparable(result):
@@ -89,8 +96,10 @@ class ChaosWorld:
             for document in self.documents
         ]
 
-    def pipeline(self):
-        return AidaDisambiguator(self.kb)
+    def resilient(self):
+        return make_resilient(
+            AidaDisambiguator(self.kb), RobustnessConfig(degrade=True)
+        )
 
 
 @pytest.fixture(scope="module", params=WORLD_SEEDS)
@@ -98,59 +107,73 @@ def chaos_world(request) -> ChaosWorld:
     return ChaosWorld(request.param)
 
 
+def _assert_answered(result, document) -> None:
+    assert result.doc_id == document.doc_id
+    assert len(result.assignments) == len(document.mentions)
+    assert result.attempts == (
+        DEGRADATION_LADDER.index(result.degradation_rung) + 1
+    )
+
+
 def test_zero_faults_bit_identical(chaos_world):
-    """(a) The armed robustness layer with no faults changes nothing."""
-    resilient = make_resilient(
-        chaos_world.pipeline(),
-        RobustnessConfig(
-            retries=2, degrade=True, backoff=NO_SLEEP_BACKOFF
-        ),
-    )
-    for document, expected in zip(
-        chaos_world.documents, chaos_world.baseline
-    ):
-        result = resilient.disambiguate(document)
-        assert _comparable(result) == expected
-        assert result.degradation_rung == "full"
-        assert result.attempts == 1
-
-
-def test_transient_faults_converge_to_fault_free(chaos_world):
-    """(b) Capped transient faults + retries reproduce the baseline."""
-    resilient = make_resilient(
-        chaos_world.pipeline(),
-        RobustnessConfig(retries=12, backoff=NO_SLEEP_BACKOFF),
-    )
-    injector = FaultInjector(TRANSIENT_SPECS, seed=chaos_world.seed)
-    attempts = []
-    with injected(injector):
+    """(a) The fixture installed at rate 0 changes nothing."""
+    resilient = chaos_world.resilient()
+    faults = [Fault(target, rate=0.0) for target in TARGETS]
+    with Chaos(resilient, faults, seed=chaos_world.seed) as chaos:
         for document, expected in zip(
             chaos_world.documents, chaos_world.baseline
         ):
             result = resilient.disambiguate(document)
             assert _comparable(result) == expected
             assert result.degradation_rung == "full"
-            attempts.append(result.attempts)
-    assert injector.total_injected > 0
-    assert any(count > 1 for count in attempts)
+            assert result.attempts == 1
+    triggers = chaos.triggers
+    assert triggers["worker"].calls == len(chaos_world.documents)
+    assert triggers["kb"].calls > 0 and triggers["similarity"].calls > 0
+    assert not any(trigger.fired for trigger in triggers.values())
+
+
+def test_transient_faults_converge_to_fault_free(chaos_world):
+    """(b) A failed attempt leaves no state behind: once the capped
+    transient faults are spent, every answer is the fault-free one."""
+    resilient = chaos_world.resilient()
+    documents = list(zip(chaos_world.documents, chaos_world.baseline))
+    with Chaos(resilient, TRANSIENT_FAULTS, seed=chaos_world.seed) as chaos:
+        triggers = list(chaos.triggers.values())
+
+        def fired():
+            return sum(trigger.fired for trigger in triggers)
+
+        for _ in range(MAX_PASSES + 1):
+            spent = all(trigger.spent for trigger in triggers)
+            for document, expected in documents:
+                before = fired()
+                result = resilient.disambiguate(document)
+                _assert_answered(result, document)
+                if fired() == before:
+                    # Met no fault: exactly the fault-free answer.
+                    assert _comparable(result) == expected
+                    assert result.degradation_rung == "full"
+                else:
+                    # A transient fault degrades like a permanent one.
+                    assert result.degradation_rung != "full"
+            if spent:
+                break  # a whole pass ran after the caps were spent
+    assert spent, f"caps not spent within {MAX_PASSES} passes"
 
 
 def test_permanent_relatedness_degrades_not_fails(chaos_world):
     """(c) Coherence-backend loss drops to ``no_coherence``, loses nothing."""
-    resilient = make_resilient(
-        chaos_world.pipeline(),
-        RobustnessConfig(degrade=True, backoff=NO_SLEEP_BACKOFF),
-    )
-    injector = FaultInjector(
-        [FaultSpec(site="relatedness", rate=1.0, kind="permanent")],
-        seed=chaos_world.seed,
-    )
+    resilient = chaos_world.resilient()
     rungs = []
-    with injected(injector):
+    with Chaos(
+        resilient,
+        [Fault("relatedness", kind="permanent")],
+        seed=chaos_world.seed,
+    ):
         for document in chaos_world.documents:
             result = resilient.disambiguate(document)
-            assert result.doc_id == document.doc_id
-            assert len(result.assignments) == len(document.mentions)
+            _assert_answered(result, document)
             rungs.append(result.degradation_rung)
     assert set(rungs) <= {"full", "no_coherence"}
     assert "no_coherence" in rungs
@@ -159,21 +182,14 @@ def test_permanent_relatedness_degrades_not_fails(chaos_world):
 def test_permanent_similarity_reaches_prior_only(chaos_world):
     """(c) Losing similarity *and* relatedness lands every document on the
     ``prior_only`` rung — still no document lost."""
-    resilient = make_resilient(
-        chaos_world.pipeline(),
-        RobustnessConfig(degrade=True, backoff=NO_SLEEP_BACKOFF),
-    )
-    injector = FaultInjector(
-        [
-            FaultSpec(site="similarity", rate=1.0, kind="permanent"),
-            FaultSpec(site="relatedness", rate=1.0, kind="permanent"),
-        ],
-        seed=chaos_world.seed,
-    )
-    with injected(injector):
+    resilient = chaos_world.resilient()
+    faults = [
+        Fault("similarity", kind="permanent"),
+        Fault("relatedness", kind="permanent"),
+    ]
+    with Chaos(resilient, faults, seed=chaos_world.seed):
         for document in chaos_world.documents:
             result = resilient.disambiguate(document)
+            _assert_answered(result, document)
             assert result.degradation_rung == "prior_only"
-            assert result.doc_id == document.doc_id
-            assert len(result.assignments) == len(document.mentions)
-            assert result.attempts >= 3  # walked the whole ladder
+            assert result.attempts == 3  # walked the whole ladder

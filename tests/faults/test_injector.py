@@ -1,4 +1,8 @@
-"""Unit tests of the deterministic fault injector."""
+"""Unit tests of the chaos fixture (``tests/faults/chaos.py``).
+
+The fixture injects faults from outside the program: it wraps entry
+points on the objects a test built and removes the wrappers on exit.
+"""
 
 from __future__ import annotations
 
@@ -6,220 +10,125 @@ import time
 
 import pytest
 
+from repro.core.pipeline import AidaDisambiguator
 from repro.errors import PermanentError, TransientError, classify_error
-from repro.faults.injector import (
-    NULL_INJECTOR,
-    FaultInjector,
-    FaultSpec,
-    FaultSpecError,
-    InjectedPermanentFault,
-    InjectedTransientFault,
-    SITES,
-    get_injector,
-    injected,
-    parse_fault_spec,
-    set_injector,
+
+from tests.faults.chaos import (
+    TARGETS,
+    Chaos,
+    ChaosPermanentFault,
+    ChaosTransientFault,
+    Fault,
+    Trigger,
 )
-from repro.obs import MetricsRegistry, set_metrics
 
 
-def _fire_pattern(injector, site, calls):
+def _fire_pattern(trigger, calls):
     """True per call that raised, over *calls* calls."""
     pattern = []
     for _ in range(calls):
         try:
-            injector.fire(site)
+            trigger.fire()
             pattern.append(False)
         except (TransientError, PermanentError):
             pattern.append(True)
     return pattern
 
 
+@pytest.fixture
+def pipeline(kb):
+    return AidaDisambiguator(kb)
+
+
 class TestSpecValidation:
-    def test_unknown_site_rejected(self):
-        with pytest.raises(FaultSpecError):
-            FaultSpec(site="nope")
+    def test_unknown_site_rejected(self, pipeline):
+        with pytest.raises(ValueError):
+            Chaos(pipeline, [Fault("nope")])
 
     def test_rate_out_of_range_rejected(self):
-        with pytest.raises(FaultSpecError):
-            FaultSpec(site="worker", rate=1.5)
+        with pytest.raises(ValueError):
+            Fault("worker", rate=1.5)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(FaultSpecError):
-            FaultSpec(site="worker", kind="explode")
+        with pytest.raises(ValueError):
+            Fault("worker", kind="explode")
 
     def test_latency_needs_positive_ms(self):
-        with pytest.raises(FaultSpecError):
-            FaultSpec(site="worker", kind="latency", latency_ms=0.0)
+        with pytest.raises(ValueError):
+            Fault("worker", kind="latency", latency_ms=0.0)
 
     def test_max_faults_must_be_positive(self):
-        with pytest.raises(FaultSpecError):
-            FaultSpec(site="worker", max_faults=0)
+        with pytest.raises(ValueError):
+            Fault("worker", max_faults=0)
 
 
 class TestDeterminism:
     def test_same_seed_same_pattern(self):
-        spec = FaultSpec(site="kb.lookup", rate=0.3)
-        first = _fire_pattern(FaultInjector([spec], seed=5), "kb.lookup", 50)
-        second = _fire_pattern(
-            FaultInjector([spec], seed=5), "kb.lookup", 50
-        )
+        fault = Fault("kb", rate=0.3)
+        first = _fire_pattern(Trigger(fault, seed=5), 50)
+        second = _fire_pattern(Trigger(fault, seed=5), 50)
         assert first == second
         assert any(first) and not all(first)
 
     def test_different_seeds_differ(self):
-        spec = FaultSpec(site="kb.lookup", rate=0.5)
+        fault = Fault("kb", rate=0.5)
         patterns = {
-            tuple(
-                _fire_pattern(
-                    FaultInjector([spec], seed=seed), "kb.lookup", 64
-                )
-            )
+            tuple(_fire_pattern(Trigger(fault, seed=seed), 64))
             for seed in range(4)
         }
         assert len(patterns) > 1
 
     def test_sites_use_independent_streams(self):
-        specs = [
-            FaultSpec(site="kb.lookup", rate=0.4),
-            FaultSpec(site="relatedness", rate=0.4),
-        ]
-        both = FaultInjector(specs, seed=9)
-        interleaved = []
-        for _ in range(30):
-            interleaved.append(_fire_pattern(both, "kb.lookup", 1)[0])
-            _fire_pattern(both, "relatedness", 3)
-        alone = _fire_pattern(
-            FaultInjector([specs[0]], seed=9), "kb.lookup", 30
+        """Same seed, same rate: two targets draw different patterns."""
+        kb_pattern = _fire_pattern(Trigger(Fault("kb", rate=0.4), 9), 64)
+        related = _fire_pattern(
+            Trigger(Fault("relatedness", rate=0.4), 9), 64
         )
-        assert interleaved == alone
+        assert kb_pattern != related
 
 
 class TestFiring:
     def test_transient_and_permanent_kinds(self):
-        inj = FaultInjector(
-            [FaultSpec(site="worker", kind="permanent")], seed=0
-        )
-        with pytest.raises(InjectedPermanentFault) as exc_info:
-            inj.fire("worker")
+        with pytest.raises(ChaosPermanentFault) as exc_info:
+            Trigger(Fault("worker", kind="permanent")).fire()
         assert classify_error(exc_info.value) == "permanent"
-        inj = FaultInjector(
-            [FaultSpec(site="worker", kind="transient")], seed=0
-        )
-        with pytest.raises(InjectedTransientFault) as exc_info:
-            inj.fire("worker")
+        with pytest.raises(ChaosTransientFault) as exc_info:
+            Trigger(Fault("worker", kind="transient")).fire()
         assert classify_error(exc_info.value) == "transient"
 
     def test_max_faults_caps_injections(self):
-        inj = FaultInjector(
-            [FaultSpec(site="worker", rate=1.0, max_faults=3)], seed=0
-        )
-        pattern = _fire_pattern(inj, "worker", 10)
-        assert pattern == [True] * 3 + [False] * 7
-        assert inj.stats()["worker"] == {"calls": 10, "injected": 3}
-        assert inj.total_injected == 3
+        trigger = Trigger(Fault("worker", rate=0.5, max_faults=3), seed=2)
+        pattern = _fire_pattern(trigger, 40)
+        assert sum(pattern) == 3
+        assert trigger.spent
+        assert (trigger.calls, trigger.fired) == (40, 3)
 
-    def test_unconfigured_site_never_fires(self):
-        inj = FaultInjector([FaultSpec(site="worker")], seed=0)
-        assert _fire_pattern(inj, "solver.iteration", 5) == [False] * 5
+    def test_unconfigured_site_never_fires(self, pipeline):
+        """Only the targets given are wrapped."""
+        with Chaos(pipeline, [Fault("relatedness", kind="permanent")]):
+            assert "candidates" not in vars(pipeline.kb)
+            assert "simscores" not in vars(pipeline.similarity)
+            assert "relatedness" in vars(pipeline.relatedness.inner)
 
     def test_latency_sleeps(self):
-        inj = FaultInjector(
-            [
-                FaultSpec(
-                    site="worker",
-                    kind="latency",
-                    latency_ms=5.0,
-                    max_faults=1,
-                )
-            ],
-            seed=0,
+        trigger = Trigger(
+            Fault("worker", kind="latency", latency_ms=5.0, max_faults=1)
         )
         start = time.perf_counter()
-        inj.fire("worker")
+        trigger.fire()
         assert time.perf_counter() - start >= 0.004
-        # Cap exhausted: the next call is instant and raises nothing.
-        inj.fire("worker")
-
-    def test_first_matching_spec_wins(self):
-        inj = FaultInjector(
-            [
-                FaultSpec(site="worker", kind="transient", max_faults=1),
-                FaultSpec(site="worker", kind="permanent"),
-            ],
-            seed=0,
-        )
-        with pytest.raises(InjectedTransientFault):
-            inj.fire("worker")
-        with pytest.raises(InjectedPermanentFault):
-            inj.fire("worker")
-
-    def test_custom_message(self):
-        inj = FaultInjector(
-            [FaultSpec(site="worker", message="kb down")], seed=0
-        )
-        with pytest.raises(InjectedTransientFault, match="kb down"):
-            inj.fire("worker")
-
-    def test_metrics_published_when_enabled(self):
-        registry = MetricsRegistry()
-        previous = set_metrics(registry)
-        try:
-            inj = FaultInjector(
-                [FaultSpec(site="worker", max_faults=2)], seed=0
-            )
-            _fire_pattern(inj, "worker", 5)
-        finally:
-            set_metrics(previous)
-        snapshot = registry.snapshot()
-        assert snapshot["counters"]["faults.injected"] == 2
-        assert snapshot["counters"]["faults.injected.worker"] == 2
-        assert snapshot["counters"]["faults.injected.kind.transient"] == 2
+        # Cap spent: the next call is instant and raises nothing.
+        trigger.fire()
+        assert trigger.fired == 1
 
 
 class TestInstallation:
-    def test_null_injector_is_default_and_inert(self):
-        assert get_injector() is NULL_INJECTOR
-        assert not NULL_INJECTOR.enabled
-        NULL_INJECTOR.fire("worker")  # must not raise
-        assert NULL_INJECTOR.stats() == {}
-
-    def test_injected_scope_restores(self):
-        inj = FaultInjector([FaultSpec(site="worker")], seed=0)
-        with injected(inj) as active:
-            assert get_injector() is inj is active
-        assert get_injector() is NULL_INJECTOR
-
-    def test_set_injector_none_restores_null(self):
-        inj = FaultInjector([], seed=0)
-        previous = set_injector(inj)
-        assert get_injector() is inj
-        set_injector(None)
-        assert get_injector() is NULL_INJECTOR
-        set_injector(previous)
-
-
-class TestParse:
-    def test_site_only(self):
-        spec = parse_fault_spec("relatedness")
-        assert spec == FaultSpec(site="relatedness")
-
-    def test_rate_kind_and_cap(self):
-        spec = parse_fault_spec("kb.lookup:0.25:permanent:4")
-        assert spec.site == "kb.lookup"
-        assert spec.rate == 0.25
-        assert spec.kind == "permanent"
-        assert spec.max_faults == 4
-
-    def test_latency_fourth_field_is_ms(self):
-        spec = parse_fault_spec("worker:1.0:latency:7.5")
-        assert spec.kind == "latency"
-        assert spec.latency_ms == 7.5
-
-    def test_bad_site_raises(self):
-        with pytest.raises(FaultSpecError):
-            parse_fault_spec("warp.core:0.5")
-
-    def test_all_sites_parse(self):
-        for site in SITES:
-            assert parse_fault_spec(site).site == site
+    def test_injected_scope_restores(self, pipeline):
+        """Exit removes every wrapper; the class methods show through."""
+        faults = [Fault(target, kind="permanent") for target in TARGETS]
+        owners = [TARGETS[name](pipeline)[0] for name in TARGETS]
+        before = [sorted(vars(owner)) for owner in owners]
+        with Chaos(pipeline, faults, seed=3):
+            with pytest.raises(ChaosPermanentFault):
+                pipeline.kb.candidates("x")
+        assert [sorted(vars(owner)) for owner in owners] == before

@@ -1,8 +1,7 @@
 """Property-based invariants (Hypothesis) for the robustness substrate.
 
-Three families the chaos layer leans on:
+Two families the chaos suite leans on:
 
-* backoff schedules — length, determinism, jitter bounds, monotonicity;
 * min-hash / LSH band math — signature lengths, set semantics, the
   ``bands * rows == sketch_length`` contract;
 * the shared relatedness memo — cached values are bit-identical to
@@ -17,72 +16,12 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.faults.retry import RetryPolicy, backoff_schedule
 from repro.hashing.lsh import LshIndex, band_signature
 from repro.hashing.minhash import MinHasher, jaccard_estimate
 from repro.relatedness.base import EntityRelatedness
 from repro.relatedness.caching import CachingRelatedness
 
 COMMON = settings(max_examples=30, deadline=None, derandomize=True)
-
-
-# ----------------------------------------------------------------------
-# Backoff schedules
-# ----------------------------------------------------------------------
-@st.composite
-def retry_policies(draw):
-    base_ms = draw(
-        st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
-    )
-    extra = draw(
-        st.floats(min_value=0.0, max_value=1000.0, allow_nan=False)
-    )
-    return RetryPolicy(
-        retries=draw(st.integers(min_value=0, max_value=6)),
-        base_ms=base_ms,
-        multiplier=draw(
-            st.floats(min_value=1.0, max_value=4.0, allow_nan=False)
-        ),
-        max_ms=base_ms + extra,
-        jitter=draw(
-            st.floats(min_value=0.0, max_value=0.9, allow_nan=False)
-        ),
-        seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
-    )
-
-
-class TestBackoffProperties:
-    @COMMON
-    @given(policy=retry_policies())
-    def test_schedule_length_and_determinism(self, policy):
-        schedule = backoff_schedule(policy)
-        assert len(schedule) == policy.retries
-        assert schedule == backoff_schedule(policy)
-
-    @COMMON
-    @given(policy=retry_policies())
-    def test_every_delay_within_jitter_band_of_raw_curve(self, policy):
-        for attempt, delay_ms in enumerate(backoff_schedule(policy)):
-            raw = min(
-                policy.base_ms * policy.multiplier**attempt,
-                policy.max_ms,
-            )
-            lo = raw * (1.0 - policy.jitter)
-            hi = raw * (1.0 + policy.jitter)
-            assert lo - 1e-9 <= delay_ms <= hi + 1e-9
-
-    @COMMON
-    @given(policy=retry_policies())
-    def test_jitter_free_schedule_is_monotone(self, policy):
-        import dataclasses
-
-        schedule = backoff_schedule(
-            dataclasses.replace(policy, jitter=0.0)
-        )
-        assert all(
-            earlier <= later + 1e-9
-            for earlier, later in zip(schedule, schedule[1:])
-        )
 
 
 # ----------------------------------------------------------------------

@@ -1,38 +1,18 @@
-"""Unit tests of the bounded-retry / backoff machinery."""
+"""No retries: the taxonomy classifies an error, and each rung of the
+degradation ladder makes one attempt whatever the error's kind."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import (
-    ConfigurationError,
     DeadlineExceeded,
     PermanentError,
     TransientError,
     is_transient,
 )
-from repro.faults.retry import (
-    RetryPolicy,
-    backoff_schedule,
-    call_with_retry,
-)
-from repro.obs import MetricsRegistry, set_metrics
-
-NO_SLEEP = RetryPolicy(retries=3, base_ms=0.0, seed=1)
-
-
-class _Flaky:
-    """Raises the queued exceptions, then returns a value."""
-
-    def __init__(self, errors):
-        self.errors = list(errors)
-        self.calls = 0
-
-    def __call__(self):
-        self.calls += 1
-        if self.errors:
-            raise self.errors.pop(0)
-        return "ok"
+from repro.faults.resilient import RobustnessConfig, make_resilient
+from repro.types import DisambiguationResult, Document
 
 
 class TestTaxonomy:
@@ -45,88 +25,55 @@ class TestTaxonomy:
         assert not is_transient(DeadlineExceeded("stage", 10.0, 5.0))
 
 
-class TestCallWithRetry:
-    def test_transient_errors_retried_until_success(self):
-        fn = _Flaky([TransientError("a"), TransientError("b")])
-        assert call_with_retry(fn, NO_SLEEP) == "ok"
-        assert fn.calls == 3
+class _Failing:
+    """Raises the queued exceptions, then answers."""
 
-    def test_permanent_error_not_retried(self):
-        fn = _Flaky([PermanentError("nope")])
-        with pytest.raises(PermanentError):
-            call_with_retry(fn, NO_SLEEP)
-        assert fn.calls == 1
+    def __init__(self, errors):
+        self.errors = list(errors)
+        self.calls = 0
 
-    def test_deadline_error_not_retried(self):
-        fn = _Flaky([DeadlineExceeded("stage:solve", 12.0, 10.0)])
-        with pytest.raises(DeadlineExceeded):
-            call_with_retry(fn, NO_SLEEP)
-        assert fn.calls == 1
+    def disambiguate(self, document):
+        self.calls += 1
+        if self.errors:
+            raise self.errors.pop(0)
+        return DisambiguationResult(doc_id=document.doc_id, assignments=[])
 
-    def test_budget_exhausted_reraises_last_transient(self):
-        fn = _Flaky([TransientError(str(i)) for i in range(10)])
-        with pytest.raises(TransientError, match="3"):
-            call_with_retry(fn, NO_SLEEP)
-        assert fn.calls == 4  # 1 + 3 retries
+
+DOCUMENT = Document(doc_id="d", tokens=("x",))
+
+
+class TestOneAttemptPerRung:
+    @pytest.mark.parametrize(
+        "error",
+        [
+            TransientError("flaky"),
+            PermanentError("gone"),
+            DeadlineExceeded("stage:solve", 12.0, 10.0),
+        ],
+        ids=["transient", "permanent", "deadline"],
+    )
+    def test_any_error_fails_the_rung_at_once(self, error):
+        pipeline = _Failing([error])
+        robust = make_resilient(pipeline, RobustnessConfig(deadline_ms=1e6))
+        with pytest.raises(type(error)):
+            robust.disambiguate(DOCUMENT)
+        assert pipeline.calls == 1
+        assert error.robust_attempts == 1
 
     @pytest.mark.parametrize("control", [KeyboardInterrupt, SystemExit])
     def test_control_flow_exceptions_propagate(self, control):
-        fn = _Flaky([control()])
+        pipeline = _Failing([control()])
+        robust = make_resilient(pipeline, RobustnessConfig(deadline_ms=1e6))
         with pytest.raises(control):
-            call_with_retry(fn, NO_SLEEP)
-        assert fn.calls == 1
+            robust.disambiguate(DOCUMENT)
+        assert pipeline.calls == 1
 
-    def test_sleeps_follow_schedule(self):
-        policy = RetryPolicy(
-            retries=3, base_ms=8.0, multiplier=2.0, jitter=0.2, seed=3
-        )
-        slept = []
-        fn = _Flaky([TransientError(str(i)) for i in range(3)])
-        call_with_retry(fn, policy, sleep=lambda s: slept.append(s))
-        expected = [ms / 1000.0 for ms in backoff_schedule(policy)]
-        assert slept == expected
-
-    def test_on_retry_reports_attempts(self):
-        seen = []
-        fn = _Flaky([TransientError("a"), TransientError("b")])
-        call_with_retry(
-            fn,
-            NO_SLEEP,
-            on_retry=lambda attempt, error: seen.append(
-                (attempt, str(error))
-            ),
-        )
-        assert seen == [(1, "a"), (2, "b")]
-
-    def test_retry_metric_counted(self):
-        registry = MetricsRegistry()
-        previous = set_metrics(registry)
-        try:
-            call_with_retry(_Flaky([TransientError("a")]), NO_SLEEP)
-        finally:
-            set_metrics(previous)
-        assert registry.snapshot()["counters"]["robust.retries"] == 1
-
-
-class TestPolicy:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"retries": -1},
-            {"base_ms": -1.0},
-            {"multiplier": 0.5},
-            {"base_ms": 10.0, "max_ms": 5.0},
-            {"jitter": 1.0},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(**kwargs)
-
-    def test_for_key_changes_stream_not_shape(self):
-        policy = RetryPolicy(retries=4, base_ms=10.0, jitter=0.5, seed=7)
-        a = policy.for_key("doc-1:full")
-        b = policy.for_key("doc-2:full")
-        assert a.retries == b.retries == policy.retries
-        assert backoff_schedule(a) != backoff_schedule(b)
-        assert backoff_schedule(a) == backoff_schedule(a)
+    def test_success_after_a_failure_is_the_next_call(self):
+        """The wrapper keeps nothing between documents: the call after a
+        failed one is a fresh first attempt."""
+        pipeline = _Failing([TransientError("once")])
+        robust = make_resilient(pipeline, RobustnessConfig(deadline_ms=1e6))
+        with pytest.raises(TransientError):
+            robust.disambiguate(DOCUMENT)
+        result = robust.disambiguate(DOCUMENT)
+        assert (result.degradation_rung, result.attempts) == ("full", 1)

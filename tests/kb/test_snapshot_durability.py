@@ -21,16 +21,27 @@ from hypothesis import given, settings, strategies as st
 from repro.datagen.wikipedia import build_world_kb
 from repro.datagen.world import World, WorldConfig
 from repro.errors import PermanentError
-from repro.faults import FaultInjector, FaultSpec, injected
 from repro.kb.snapshot import (
     _HEADER,
     FORMAT_VERSION,
     HEADER_SIZE,
     MAGIC,
     SnapshotError,
+    _SectionWriter,
     build_snapshot,
     load_snapshot,
 )
+
+from tests.faults.chaos import Fault, Trigger
+
+
+def _fault_section_writes(monkeypatch, fault: Fault, seed: int = 0):
+    """Fire *fault*'s trigger before every section the writer adds."""
+    trigger = Trigger(fault, seed)
+    monkeypatch.setattr(
+        _SectionWriter, "add", trigger.wrap(_SectionWriter.add)
+    )
+    return trigger
 
 
 @pytest.fixture(scope="module")
@@ -118,30 +129,27 @@ def test_corrupt_header_checksum(image):
     _assert_rejected(image)
 
 
-def test_partial_write_never_touches_destination(small_kb, tmp_path):
-    """A fault mid-write (injected at ``snapshot.write``) aborts the
-    build, removes the temp file, and leaves a pre-existing destination
-    image byte-identical and loadable."""
+def test_partial_write_never_touches_destination(
+    small_kb, tmp_path, monkeypatch
+):
+    """A fault mid-write (raised by a section write) aborts the build,
+    removes the temp file, and leaves a pre-existing destination image
+    byte-identical and loadable."""
     path = str(tmp_path / "kb.snap")
     build_snapshot(small_kb, path)
     with open(path, "rb") as handle:
         before = handle.read()
-    injector = FaultInjector(
-        [
-            FaultSpec(
-                site="snapshot.write",
-                kind="permanent",
-                max_faults=1,
-                # Let a few sections through so the crash lands mid-image.
-                rate=0.25,
-            )
-        ],
+    trigger = _fault_section_writes(
+        monkeypatch,
+        # Let a few sections through so the crash lands mid-image.
+        Fault("snapshot", kind="permanent", max_faults=1, rate=0.25),
         seed=5,
     )
-    with injected(injector):
-        with pytest.raises(PermanentError):
-            build_snapshot(small_kb, path)
-    assert injector.total_injected == 1
+    with pytest.raises(PermanentError):
+        build_snapshot(small_kb, path)
+    monkeypatch.undo()
+    assert trigger.fired == 1
+    assert trigger.calls > 1, "the fault must land mid-image"
     assert [
         name
         for name in os.listdir(tmp_path)
@@ -154,15 +162,14 @@ def test_partial_write_never_touches_destination(small_kb, tmp_path):
     snapshot.close()
 
 
-def test_fresh_build_fault_leaves_nothing(small_kb, tmp_path):
+def test_fresh_build_fault_leaves_nothing(small_kb, tmp_path, monkeypatch):
     """Faulting the very first build leaves no destination at all."""
     path = str(tmp_path / "kb.snap")
-    injector = FaultInjector(
-        [FaultSpec(site="snapshot.write", kind="permanent", max_faults=1)]
+    _fault_section_writes(
+        monkeypatch, Fault("snapshot", kind="permanent", max_faults=1)
     )
-    with injected(injector):
-        with pytest.raises(PermanentError):
-            build_snapshot(small_kb, path)
+    with pytest.raises(PermanentError):
+        build_snapshot(small_kb, path)
     assert os.listdir(tmp_path) == []
 
 

@@ -3,9 +3,9 @@
 Covers the correctness properties the two-stage min-hash/LSH acceleration
 must preserve:
 
-* one surviving pair = one fault-site fire = one comparison count (the
-  zero-fault chaos differential — a ``rate=0.0`` spec counts calls
-  without injecting);
+* one surviving pair = one call of the measure = one comparison count
+  (the zero-fault chaos differential — a ``rate=0.0`` chaos trigger
+  counts calls without injecting);
 * a pruned pair never reaches the memo, so no document's pruning leaks
   into another's answers through a memo shared across documents;
 * inconsistent stage-one geometry fails at construction instead of
@@ -23,7 +23,6 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.faults import FaultInjector, FaultSpec, injected
 from repro.hashing.lsh import LshIndex
 from repro.hashing.minhash import MinHasher
 from repro.kb.keyphrases import KeyphraseStore
@@ -32,6 +31,8 @@ from repro.relatedness.caching import CachingRelatedness
 from repro.relatedness.kore import KoreRelatedness
 from repro.relatedness.lsh import KoreLshRelatedness, LshSettings
 from repro.weights.model import WeightModel
+
+from tests.faults.chaos import Fault, Trigger
 
 
 def _music_store() -> KeyphraseStore:
@@ -54,61 +55,56 @@ def setup():
     return store, WeightModel(store, links=None)
 
 
+def _count_calls(monkeypatch, measure) -> Trigger:
+    """A ``rate=0.0`` chaos trigger on *measure*'s ``relatedness``: it
+    counts the calls the memo makes and never injects."""
+    trigger = Trigger(Fault("relatedness", rate=0.0))
+    monkeypatch.setattr(
+        measure, "relatedness", trigger.wrap(measure.relatedness)
+    )
+    return trigger
+
+
 class TestSingleFireSingleCount:
     """The zero-fault chaos differential of the acceptance criteria."""
 
-    def test_one_fire_one_count_per_surviving_pair(self, setup):
+    def test_one_fire_one_count_per_surviving_pair(self, setup, monkeypatch):
         store, weights = setup
         kore = KoreRelatedness(store, weights)
         lsh = KoreLshRelatedness(
             store, kore, LshSettings.recall_geared(), name="G"
         )
         entities = store.entity_ids()
-        injector = FaultInjector(
-            [FaultSpec(site="relatedness", rate=0.0)]
-        )
-        with injected(injector):
-            edges, survivors = CachingRelatedness(lsh).coherence_edges(
-                entities
-            )
+        calls = _count_calls(monkeypatch, lsh)
+        edges, survivors = CachingRelatedness(lsh).coherence_edges(entities)
         surviving = len(survivors)
         assert surviving > 0
         assert set(edges) == survivors
-        stats = injector.stats()["relatedness"]
-        assert stats["injected"] == 0
-        # One fire and one count per surviving pair — not two — and the
+        assert calls.fired == 0
+        # One call and one count per surviving pair — not two — and the
         # inner measure's counter stays untouched (the wrapper's counter
         # is the Table 4.4 quantity).
-        assert stats["calls"] == surviving
+        assert calls.calls == surviving
         assert lsh.comparisons == surviving
         assert kore.comparisons == 0
 
-    def test_cached_lookup_does_not_refire(self, setup):
+    def test_cached_lookup_does_not_refire(self, setup, monkeypatch):
         store, weights = setup
         kore = KoreRelatedness(store, weights)
-        memo = CachingRelatedness(
-            KoreLshRelatedness(store, kore, LshSettings.recall_geared())
-        )
-        injector = FaultInjector(
-            [FaultSpec(site="relatedness", rate=0.0)]
-        )
-        with injected(injector):
-            memo.relatedness("Nick_Cave", "Hallelujah_Cave")
-            calls_after_first = injector.stats()["relatedness"]["calls"]
-            memo.relatedness("Hallelujah_Cave", "Nick_Cave")
+        lsh = KoreLshRelatedness(store, kore, LshSettings.recall_geared())
+        memo = CachingRelatedness(lsh)
+        calls = _count_calls(monkeypatch, lsh)
+        memo.relatedness("Nick_Cave", "Hallelujah_Cave")
+        calls_after_first = calls.calls
+        memo.relatedness("Hallelujah_Cave", "Nick_Cave")
         assert calls_after_first == 1
-        assert (
-            injector.stats()["relatedness"]["calls"] == calls_after_first
-        )
+        assert calls.calls == calls_after_first
 
-    def test_pruned_pairs_never_reach_the_fault_site(self, setup):
+    def test_pruned_pairs_never_reach_the_fault_site(self, setup, monkeypatch):
         store, weights = setup
         kore = KoreRelatedness(store, weights)
         lsh = KoreLshRelatedness(store, kore, LshSettings.fast())
         survivors = lsh.candidate_pairs(store.entity_ids())
-        injector = FaultInjector(
-            [FaultSpec(site="relatedness", rate=0.0)]
-        )
         pruned = [
             (a, b)
             for i, a in enumerate(store.entity_ids())
@@ -116,10 +112,11 @@ class TestSingleFireSingleCount:
             if (a, b) not in survivors
         ]
         assert pruned  # disjoint fillers must prune under F
-        with injected(injector):
-            for a, b in pruned:
-                assert filtered_relatedness(lsh, survivors, a, b) == 0.0
-        assert injector.stats().get("relatedness", {}).get("calls", 0) == 0
+        calls = _count_calls(monkeypatch, lsh)
+        for a, b in pruned:
+            assert filtered_relatedness(lsh, survivors, a, b) == 0.0
+        assert calls.calls == 0
+        assert lsh.comparisons == 0
 
 
 class TestStalePrunedZeros:

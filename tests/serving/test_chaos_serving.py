@@ -1,10 +1,12 @@
-"""Chaos serving: injected faults must degrade answers, not drop them.
+"""Chaos serving: faults must degrade answers, not drop them.
 
 Mirrors the regimes of ``tests/faults/test_chaos_differential.py`` but
-drives the full serving path over loopback HTTP: under transient faults
-plus retries every connection still gets its fault-free answer; under a
-permanent backend loss every connection still gets *an* answer, with the
-ladder rung recorded in the response metadata.
+drives the full serving path over loopback HTTP, with the chaos fixture
+(``tests/faults/chaos.py``) installed on the server's pipeline: under
+capped transient faults every connection gets an answer, degraded where
+a fault hit and the fault-free one elsewhere; under a permanent backend
+loss every connection still gets *an* answer, with the ladder rung
+recorded in the response metadata.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from repro.core.pipeline import AidaDisambiguator
 from repro.datagen.documents import DocumentGenerator, DocumentSpec
 from repro.datagen.wikipedia import build_world_kb
 from repro.datagen.world import World, WorldConfig
-from repro.faults.injector import FaultInjector, FaultSpec, injected
-from repro.faults.resilient import RobustnessConfig
-from repro.faults.retry import RetryPolicy
+from repro.faults.resilient import DEGRADATION_LADDER
 
+from tests.faults.chaos import Chaos, Fault
 from tests.serving.conftest import (
     document_payload,
     drive,
@@ -31,15 +32,13 @@ from tests.serving.conftest import (
 
 SEED = int(os.environ.get("CHAOS_BASE_SEED", "1307")) + 400
 
-#: Capped transient mass — with 12 retries even one document absorbing
-#: every fault converges to the fault-free answer.
-TRANSIENT_SPECS = [
-    FaultSpec(site="kb.lookup", rate=1.0, kind="transient", max_faults=2),
-    FaultSpec(site="relatedness", rate=0.3, kind="transient", max_faults=3),
-    FaultSpec(site="similarity", rate=0.25, kind="transient", max_faults=3),
+#: Capped transient faults.  ``kb`` fires on the first call and is then
+#: spent, so a ``prior_only`` attempt never faults.
+TRANSIENT_FAULTS = [
+    Fault("kb", rate=1.0, kind="transient", max_faults=1),
+    Fault("relatedness", rate=0.3, kind="transient", max_faults=3),
+    Fault("similarity", rate=0.25, kind="transient", max_faults=3),
 ]
-
-NO_SLEEP_BACKOFF = RetryPolicy(base_ms=0.0, max_ms=0.0, jitter=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -81,52 +80,40 @@ async def _post_all(server, documents):
 
 
 def test_transient_faults_degrade_not_drop(chaos_setup):
-    """Every connection is answered; retried documents converge to the
-    fault-free assignments and report attempts > 1."""
+    """Every connection is answered; a document a transient fault hit
+    is degraded, every other one gets its fault-free assignments."""
     kb, documents, baseline = chaos_setup
-    server = make_server(
-        AidaDisambiguator(kb),
-        kb=kb,
-        robustness=RobustnessConfig(
-            retries=12, degrade=True, backoff=NO_SLEEP_BACKOFF
-        ),
-        max_queue=32,
-    )
-    injector = FaultInjector(TRANSIENT_SPECS, seed=SEED)
+    server = make_server(AidaDisambiguator(kb), kb=kb, max_queue=32)
 
-    with injected(injector):
+    with Chaos(server.pipeline, TRANSIENT_FAULTS, seed=SEED) as chaos:
         responses = drive(server, lambda s: _post_all(s, documents))
 
-    assert injector.total_injected > 0
+    assert chaos.triggers["kb"].fired == 1
     assert len(responses) == len(documents)  # no dropped connections
-    attempts = []
+    rungs = []
     for doc, (status, body, _headers) in zip(documents, responses):
         assert status == 200
         assert body["doc_id"] == doc.doc_id
-        got = [(a["surface"], a["entity"]) for a in body["assignments"]]
-        assert got == baseline[doc.doc_id]
-        attempts.append(body["attempts"])
-    assert any(count > 1 for count in attempts)  # retries really happened
+        walked = DEGRADATION_LADDER.index(body["rung"]) - (
+            DEGRADATION_LADDER.index(body["admitted_rung"])
+        )
+        assert body["attempts"] == walked + 1  # one attempt per rung
+        if body["rung"] == "full":
+            got = [(a["surface"], a["entity"]) for a in body["assignments"]]
+            assert got == baseline[doc.doc_id]
+        rungs.append(body["rung"])
+    assert set(rungs) - {"full"}  # the kb fault degraded one document
 
 
 def test_permanent_backend_loss_walks_the_ladder(chaos_setup):
     """A dead relatedness backend degrades every answer to a cheaper
     rung; nothing is dropped, nothing 500s."""
     kb, documents, _baseline = chaos_setup
-    server = make_server(
-        AidaDisambiguator(kb),
-        kb=kb,
-        robustness=RobustnessConfig(
-            retries=1, degrade=True, backoff=NO_SLEEP_BACKOFF
-        ),
-        max_queue=32,
-    )
-    injector = FaultInjector(
-        [FaultSpec(site="relatedness", rate=1.0, kind="permanent")],
-        seed=SEED,
-    )
+    server = make_server(AidaDisambiguator(kb), kb=kb, max_queue=32)
 
-    with injected(injector):
+    with Chaos(
+        server.pipeline, [Fault("relatedness", kind="permanent")], seed=SEED
+    ):
         responses = drive(server, lambda s: _post_all(s, documents))
 
     assert len(responses) == len(documents)
@@ -140,29 +127,3 @@ def test_permanent_backend_loss_walks_the_ladder(chaos_setup):
         assert body["assignments"]  # an answer, not an error
     rungs = {body["rung"] for _status, body, _h in responses}
     assert rungs & {"no_coherence", "prior_only"}  # degradation happened
-
-
-def test_cli_style_inject_spec_round_trip(chaos_setup):
-    """The ``--inject`` spec grammar drives the same machinery: a parsed
-    transient spec with retries keeps the serving path lossless."""
-    from repro.faults.injector import parse_fault_spec
-
-    kb, documents, baseline = chaos_setup
-    spec = parse_fault_spec("kb.lookup:1.0:transient:2")
-    server = make_server(
-        AidaDisambiguator(kb),
-        kb=kb,
-        robustness=RobustnessConfig(
-            retries=6, degrade=True, backoff=NO_SLEEP_BACKOFF
-        ),
-        max_queue=32,
-    )
-    injector = FaultInjector([spec], seed=SEED + 1)
-
-    with injected(injector):
-        responses = drive(server, lambda s: _post_all(s, documents[:3]))
-
-    for doc, (status, body, _headers) in zip(documents, responses):
-        assert status == 200
-        got = [(a["surface"], a["entity"]) for a in body["assignments"]]
-        assert got == baseline[doc.doc_id]

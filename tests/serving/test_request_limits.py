@@ -5,8 +5,9 @@ read, so a client that declares a large body and sends nothing gets its
 answer at once; a negative ``Content-Length`` or a body cut short of it
 answers 400; more than ``MAX_HEADER_LINES`` header lines, or one header
 line over the stream reader's 64 KiB line limit, answer 431; a request
-line over that limit answers 414.  Every parse-level rejection carries a
-minted ``request_id``, as other error bodies do.
+line over that limit answers 414; a client that has not sent its whole
+request within ``REQUEST_READ_TIMEOUT_S`` answers 408.  Every parse-level
+rejection carries a minted ``request_id``, as other error bodies do.
 """
 
 from __future__ import annotations
@@ -14,7 +15,14 @@ from __future__ import annotations
 import asyncio
 import json
 
-from repro.serving.server import MAX_BODY_BYTES, MAX_HEADER_LINES
+import pytest
+
+from repro.serving import server as server_module
+from repro.serving.server import (
+    MAX_BODY_BYTES,
+    MAX_HEADER_LINES,
+    REQUEST_READ_TIMEOUT_S,
+)
 
 from tests.serving.conftest import drive, make_server
 
@@ -158,3 +166,33 @@ def test_body_shorter_than_content_length_answers_400(serving_pipeline, kb):
     answer = drive(server, client)
     _assert_rejected(answer, 400)
     assert "10 of 100" in answer[1]["error"]
+
+
+def test_read_deadline_is_a_few_seconds():
+    assert 1.0 <= REQUEST_READ_TIMEOUT_S <= 30.0
+
+
+@pytest.mark.parametrize(
+    "partial",
+    [
+        b"POST /disambig",  # mid request line
+        b"POST /disambiguate HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-",
+        # Mid body: 7 bytes short of the declared length.
+        _request("Content-Length: 17") + b'{"text"',
+    ],
+    ids=["request-line", "headers", "body"],
+)
+def test_stalled_client_answers_408(
+    serving_pipeline, kb, monkeypatch, partial
+):
+    """A client that stops mid request gets 408 once the read deadline
+    passes, while the socket stays open."""
+    monkeypatch.setattr(server_module, "REQUEST_READ_TIMEOUT_S", 0.2)
+    server = make_server(serving_pipeline, kb=kb)
+
+    async def client(server):
+        return await _exchange(server.port, partial)
+
+    answer = drive(server, client)
+    _assert_rejected(answer, 408)
+    assert "not read within" in answer[1]["error"]
