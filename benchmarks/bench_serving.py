@@ -36,6 +36,7 @@ from repro.core.pipeline import AidaDisambiguator
 from repro.datagen.documents import DocumentGenerator, DocumentSpec
 from repro.datagen.wikipedia import build_world_kb
 from repro.datagen.world import World, WorldConfig
+from repro.obs.metrics import nearest_rank
 from repro.serving import DisambiguationServer, ServingConfig
 from repro.types import Document
 
@@ -108,11 +109,11 @@ async def one_request(port: int, body: bytes) -> Tuple[int, float]:
 
 
 def quantile(samples: List[float], q: float) -> float:
+    """The nearest-rank q-quantile of *samples* (0.0 when empty)."""
     if not samples:
         return 0.0
     ordered = sorted(samples)
-    rank = max(0, min(len(ordered) - 1, int(q * len(ordered)) - 1))
-    return ordered[rank] if q > 0 else ordered[0]
+    return ordered[nearest_rank(q, len(ordered)) - 1]
 
 
 async def run_trial(

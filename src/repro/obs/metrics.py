@@ -19,6 +19,8 @@ Histograms use fixed bucket boundaries (default: a log-spaced
 seconds-oriented ladder), recording per-bucket counts plus count / sum /
 min / max; p50/p90/p99 are nearest-rank estimates that resolve to the
 upper bound of the bucket holding the rank (clamped to the observed max).
+:func:`nearest_rank` is the one rank rule every quantile in the package
+uses.
 
 The disabled path is near-free: :data:`NULL_METRICS` hands out shared
 no-op metric objects.  The process-wide registry defaults to it; enable
@@ -29,8 +31,9 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Log-spaced ladder for durations in seconds (overflow bucket above).
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -123,114 +126,172 @@ class Gauge:
             self._value = 0.0
 
 
+def nearest_rank(q: float, n: int) -> int:
+    """The 1-based nearest rank of the q-quantile among n samples.
+
+    ``ceil(q*n)`` clamped to ``[1, n]``: q=0.9 over 10 samples is the 9th
+    ordered sample, not the maximum.  The epsilon keeps a float product
+    such as ``0.07 * 100 = 7.000000000000001`` from ceiling one rank too
+    far.
+    """
+    return min(n, max(1, math.ceil(q * n - 1e-9)))
+
+
+def bucket_bounds(buckets: Optional[Sequence[float]]) -> Tuple[float, ...]:
+    """Validated histogram bounds (:data:`DEFAULT_BUCKETS` for ``None``)."""
+    bounds = tuple(buckets) if buckets is not None else DEFAULT_BUCKETS
+    if not bounds or list(bounds) != sorted(set(bounds)):
+        raise ValueError(
+            "histogram buckets must be strictly increasing and non-empty"
+        )
+    return bounds
+
+
+class _HistogramSlot:
+    """Bucket counts plus count / sum / min / max.
+
+    The whole state of a :class:`Histogram`, and of one interval of a
+    :class:`~repro.obs.window.WindowedHistogram`.  Not locked: the owner
+    holds its own lock around every call.
+    """
+
+    __slots__ = ("bucket_counts", "count", "sum", "min", "max")
+
+    def __init__(self, buckets: int):
+        self.bucket_counts = [0] * buckets
+        self.count = 0
+        self.sum = 0.0
+        self.min = float("inf")
+        self.max = float("-inf")
+
+    def observe(self, bucket: int, value: float) -> None:
+        """Count *value* into bucket index *bucket*."""
+        self.bucket_counts[bucket] += 1
+        self.count += 1
+        self.sum += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+
+    @classmethod
+    def from_row(cls, row: Mapping) -> "_HistogramSlot":
+        """The slot a :meth:`row` (or a histogram snapshot) describes."""
+        slot = cls(0)
+        slot.bucket_counts = list(row["bucket_counts"])
+        slot.count = row["count"]
+        slot.sum = row["sum"]
+        slot.min = row["min"]
+        slot.max = row["max"]
+        return slot
+
+    def row(self) -> Dict[str, object]:
+        """Picklable copy of the state."""
+        return {
+            "bucket_counts": list(self.bucket_counts),
+            "count": self.count,
+            "sum": self.sum,
+            "min": self.min,
+            "max": self.max,
+        }
+
+    def absorb(self, other: "_HistogramSlot") -> None:
+        """Add *other*'s samples (bucket layouts must match)."""
+        if not other.count:
+            return
+        self.bucket_counts = list(
+            map(operator.add, self.bucket_counts, other.bucket_counts)
+        )
+        self.count += other.count
+        self.sum += other.sum
+        if other.min < self.min:
+            self.min = other.min
+        if other.max > self.max:
+            self.max = other.max
+
+    def quantile(self, bounds: Sequence[float], q: float) -> float:
+        """Nearest-rank estimate: the upper bound of the bucket holding
+        the rank, clamped to the observed maximum (exact for the overflow
+        bucket); 0.0 while empty."""
+        if self.count == 0:
+            return 0.0
+        rank = nearest_rank(q, self.count)
+        cumulative = 0
+        for bucket, bucket_count in enumerate(self.bucket_counts):
+            cumulative += bucket_count
+            if cumulative >= rank:
+                if bucket < len(bounds):
+                    return min(bounds[bucket], self.max)
+                break
+        return self.max
+
+
 class Histogram:
     """Fixed-bucket histogram with nearest-rank quantile estimates."""
 
-    __slots__ = (
-        "name",
-        "bounds",
-        "_lock",
-        "_bucket_counts",
-        "_count",
-        "_sum",
-        "_min",
-        "_max",
-    )
+    __slots__ = ("name", "bounds", "_lock", "_slot")
 
     def __init__(
         self, name: str, buckets: Optional[Sequence[float]] = None
     ):
         self.name = name
-        bounds = tuple(buckets) if buckets is not None else DEFAULT_BUCKETS
-        if not bounds or list(bounds) != sorted(set(bounds)):
-            raise ValueError(
-                "histogram buckets must be strictly increasing and "
-                "non-empty"
-            )
-        self.bounds = bounds
+        self.bounds = bucket_bounds(buckets)
         self._lock = threading.Lock()
-        # One slot per bound plus the overflow bucket.
-        self._bucket_counts = [0] * (len(bounds) + 1)
-        self._count = 0
-        self._sum = 0.0
-        self._min = float("inf")
-        self._max = float("-inf")
+        # One bucket per bound plus the overflow bucket.
+        self._slot = _HistogramSlot(len(self.bounds) + 1)
 
     def observe(self, value: float) -> None:
         """Record one sample."""
-        slot = bisect.bisect_left(self.bounds, value)
+        bucket = bisect.bisect_left(self.bounds, value)
         with self._lock:
-            self._bucket_counts[slot] += 1
-            self._count += 1
-            self._sum += value
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
+            self._slot.observe(bucket, value)
 
     @property
     def count(self) -> int:
         """Number of recorded samples."""
         with self._lock:
-            return self._count
+            return self._slot.count
 
     @property
     def sum(self) -> float:
         """Sum of recorded samples."""
         with self._lock:
-            return self._sum
+            return self._slot.sum
 
     def quantile(self, q: float) -> float:
-        """Nearest-rank quantile estimate from the bucket counts.
-
-        Resolves to the upper bound of the bucket containing the rank,
-        clamped to the observed maximum (exact for the overflow bucket).
-        """
+        """Nearest-rank quantile estimate from the bucket counts."""
         with self._lock:
-            return self._quantile_locked(q)
-
-    def _quantile_locked(self, q: float) -> float:
-        if self._count == 0:
-            return 0.0
-        # Nearest-rank: ceil(q*n); the epsilon guards against float
-        # products like q*n = 9.000000000000002 ceiling one rank too far.
-        rank = min(
-            self._count, max(1, math.ceil(q * self._count - 1e-9))
-        )
-        cumulative = 0
-        for slot, bucket_count in enumerate(self._bucket_counts):
-            cumulative += bucket_count
-            if cumulative >= rank:
-                if slot < len(self.bounds):
-                    return min(self.bounds[slot], self._max)
-                return self._max
-        return self._max
-
-    def _snapshot_locked(self) -> Dict[str, object]:
-        snap: Dict[str, object] = {
-            "count": self._count,
-            "sum": self._sum,
-            "min": self._min if self._count else 0.0,
-            "max": self._max if self._count else 0.0,
-            "bounds": list(self.bounds),
-            "bucket_counts": list(self._bucket_counts),
-        }
-        for label, q in SNAPSHOT_QUANTILES:
-            snap[label] = self._quantile_locked(q)
-        return snap
+            return self._slot.quantile(self.bounds, q)
 
     def snapshot(self) -> Dict[str, object]:
         """Plain-dict view: counts, sum, min/max, buckets, p50/p90/p99."""
         with self._lock:
-            return self._snapshot_locked()
+            slot = self._slot
+            snap: Dict[str, object] = {
+                "count": slot.count,
+                "sum": slot.sum,
+                "min": slot.min if slot.count else 0.0,
+                "max": slot.max if slot.count else 0.0,
+                "bounds": list(self.bounds),
+                "bucket_counts": list(slot.bucket_counts),
+            }
+            for label, q in SNAPSHOT_QUANTILES:
+                snap[label] = slot.quantile(self.bounds, q)
+        return snap
+
+    def merge(self, snapshot: Mapping) -> None:
+        """Add another histogram's :meth:`snapshot` (bounds must match)."""
+        if list(snapshot["bounds"]) != list(self.bounds):
+            raise ValueError(
+                f"cannot merge histogram {self.name!r}: bucket bounds "
+                "differ"
+            )
+        with self._lock:
+            self._slot.absorb(_HistogramSlot.from_row(snapshot))
 
     def _reset(self) -> None:
         with self._lock:
-            self._bucket_counts = [0] * (len(self.bounds) + 1)
-            self._count = 0
-            self._sum = 0.0
-            self._min = float("inf")
-            self._max = float("-inf")
+            self._slot = _HistogramSlot(len(self.bounds) + 1)
 
 
 class MetricsRegistry:
@@ -377,23 +438,10 @@ class MetricsRegistry:
                 if value > gauge._value:
                     gauge._value = value
         for name, snap in snapshot.get("histograms", {}).items():
-            if not snap.get("count"):
-                continue
-            histogram = self.histogram(
-                name, buckets=snap.get("bounds") or None
-            )
-            if list(histogram.bounds) != list(snap["bounds"]):
-                raise ValueError(
-                    f"cannot merge histogram {name!r}: bucket bounds "
-                    "differ"
-                )
-            with histogram._lock:
-                for slot, bucket_count in enumerate(snap["bucket_counts"]):
-                    histogram._bucket_counts[slot] += bucket_count
-                histogram._count += snap["count"]
-                histogram._sum += snap["sum"]
-                histogram._min = min(histogram._min, snap["min"])
-                histogram._max = max(histogram._max, snap["max"])
+            if snap.get("count"):
+                self.histogram(
+                    name, buckets=snap.get("bounds") or None
+                ).merge(snap)
         windows = snapshot.get("windows", {})
         for name, snap in windows.get("counters", {}).items():
             self.windowed_counter(

@@ -159,14 +159,6 @@ def validate_exposition(text: str) -> List[str]:
     bucket_state: Dict[str, float] = {}
     bucket_closed: Dict[str, bool] = {}
 
-    def family_of(sample_name: str, kind: str) -> str:
-        if kind == "counter" and sample_name.endswith("_total"):
-            return sample_name
-        for suffix in ("_bucket", "_sum", "_count"):
-            if sample_name.endswith(suffix):
-                return sample_name[: -len(suffix)]
-        return sample_name
-
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

@@ -20,12 +20,15 @@ age out deterministically.
 from __future__ import annotations
 
 import bisect
-import math
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.obs.metrics import DEFAULT_BUCKETS, SNAPSHOT_QUANTILES
+from repro.obs.metrics import (
+    SNAPSHOT_QUANTILES,
+    _HistogramSlot,
+    bucket_bounds,
+)
 
 __all__ = ["WindowedCounter", "WindowedHistogram"]
 
@@ -121,26 +124,13 @@ class WindowedCounter(_WindowBase):
             self._live_indexes()
 
 
-class _HistogramSlot:
-    """One interval's worth of histogram state."""
-
-    __slots__ = ("bucket_counts", "count", "sum", "min", "max")
-
-    def __init__(self, slots: int):
-        self.bucket_counts = [0] * slots
-        self.count = 0
-        self.sum = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-
 class WindowedHistogram(_WindowBase):
     """Fixed-bound histogram whose quantiles cover only the window.
 
-    Same nearest-rank estimate as the cumulative
-    :class:`~repro.obs.metrics.Histogram`, computed over the merged
-    bucket counts of the live ring slots — p99 therefore *forgets* any
-    sample older than ``window_seconds``.
+    Each live interval is one :class:`~repro.obs.metrics.Histogram`
+    state; reads merge the live intervals and walk the buckets the way
+    the cumulative histogram does — p99 therefore *forgets* any sample
+    older than ``window_seconds``.
     """
 
     def __init__(
@@ -152,51 +142,34 @@ class WindowedHistogram(_WindowBase):
         clock: Callable[[], float] = time.time,
     ):
         super().__init__(name, window_seconds, window_buckets, clock)
-        bounds = tuple(buckets) if buckets is not None else DEFAULT_BUCKETS
-        if not bounds or list(bounds) != sorted(set(bounds)):
-            raise ValueError(
-                "histogram buckets must be strictly increasing and "
-                "non-empty"
-            )
-        self.bounds = bounds
+        self.bounds = bucket_bounds(buckets)
+
+    def _slot_at(self, index: int) -> _HistogramSlot:
+        slot = self._ring.get(index)
+        if slot is None:
+            slot = self._ring[index] = _HistogramSlot(len(self.bounds) + 1)
+        return slot
 
     def observe(self, value: float) -> None:
         """Record one sample now."""
-        slot_index = self._slot_index()
+        index = self._slot_index()
         bucket = bisect.bisect_left(self.bounds, value)
         with self._lock:
-            slot = self._ring.get(slot_index)
-            if slot is None:
-                slot = _HistogramSlot(len(self.bounds) + 1)
-                self._ring[slot_index] = slot
-            slot.bucket_counts[bucket] += 1
-            slot.count += 1
-            slot.sum += value
-            if value < slot.min:
-                slot.min = value
-            if value > slot.max:
-                slot.max = value
+            self._slot_at(index).observe(bucket, value)
 
-    def _merged_locked(self) -> Tuple[List[int], int, float, float, float]:
-        counts = [0] * (len(self.bounds) + 1)
-        total = 0
-        value_sum = 0.0
-        lo, hi = float("inf"), float("-inf")
+    def _merged_locked(self) -> _HistogramSlot:
+        merged = _HistogramSlot(len(self.bounds) + 1)
         for index in self._live_indexes():
-            slot = self._ring[index]
-            for position, bucket_count in enumerate(slot.bucket_counts):
-                counts[position] += bucket_count
-            total += slot.count
-            value_sum += slot.sum
-            lo = min(lo, slot.min)
-            hi = max(hi, slot.max)
-        return counts, total, value_sum, lo, hi
+            merged.absorb(self._ring[index])
+        return merged
 
     @property
     def count(self) -> int:
         """Samples inside the window."""
         with self._lock:
-            return self._merged_locked()[1]
+            return sum(
+                self._ring[index].count for index in self._live_indexes()
+            )
 
     def rate(self) -> float:
         """Samples per second over the window."""
@@ -205,62 +178,31 @@ class WindowedHistogram(_WindowBase):
     def quantile(self, q: float) -> float:
         """Nearest-rank windowed quantile (0.0 while the window is empty)."""
         with self._lock:
-            counts, total, _sum, _lo, hi = self._merged_locked()
-        if total == 0:
-            return 0.0
-        rank = min(total, max(1, math.ceil(q * total - 1e-9)))
-        cumulative = 0
-        for position, bucket_count in enumerate(counts):
-            cumulative += bucket_count
-            if cumulative >= rank:
-                if position < len(self.bounds):
-                    return min(self.bounds[position], hi)
-                return hi
-        return hi
+            merged = self._merged_locked()
+        return merged.quantile(self.bounds, q)
 
     def snapshot(self) -> Dict[str, object]:
         """Picklable view: windowed count/sum/rate/min/max/quantiles."""
         with self._lock:
-            counts, total, value_sum, lo, hi = self._merged_locked()
+            merged = self._merged_locked()
             ring = {
-                str(index): {
-                    "bucket_counts": list(slot.bucket_counts),
-                    "count": slot.count,
-                    "sum": slot.sum,
-                    "min": slot.min,
-                    "max": slot.max,
-                }
-                for index, slot in self._ring.items()
+                str(index): slot.row() for index, slot in self._ring.items()
             }
+        total = merged.count
         snap: Dict[str, object] = {
             "window_seconds": self.window_seconds,
             "window_buckets": self.window_buckets,
             "bounds": list(self.bounds),
             "count": total,
-            "sum": value_sum,
+            "sum": merged.sum,
             "rate": total / self.window_seconds,
-            "min": lo if total else 0.0,
-            "max": hi if total else 0.0,
+            "min": merged.min if total else 0.0,
+            "max": merged.max if total else 0.0,
             "ring": ring,
         }
         for label, q in SNAPSHOT_QUANTILES:
-            snap[label] = self._quantile_of(counts, total, hi, q)
+            snap[label] = merged.quantile(self.bounds, q)
         return snap
-
-    def _quantile_of(
-        self, counts: List[int], total: int, hi: float, q: float
-    ) -> float:
-        if total == 0:
-            return 0.0
-        rank = min(total, max(1, math.ceil(q * total - 1e-9)))
-        cumulative = 0
-        for position, bucket_count in enumerate(counts):
-            cumulative += bucket_count
-            if cumulative >= rank:
-                if position < len(self.bounds):
-                    return min(self.bounds[position], hi)
-                return hi
-        return hi
 
     def merge(self, snapshot: Dict[str, object]) -> None:
         """Fold another process's snapshot in (absolute-index aligned)."""
@@ -271,17 +213,5 @@ class WindowedHistogram(_WindowBase):
             )
         with self._lock:
             for key, row in snapshot.get("ring", {}).items():
-                index = int(key)
-                slot = self._ring.get(index)
-                if slot is None:
-                    slot = _HistogramSlot(len(self.bounds) + 1)
-                    self._ring[index] = slot
-                for position, bucket_count in enumerate(
-                    row["bucket_counts"]
-                ):
-                    slot.bucket_counts[position] += bucket_count
-                slot.count += row["count"]
-                slot.sum += row["sum"]
-                slot.min = min(slot.min, row["min"])
-                slot.max = max(slot.max, row["max"])
+                self._slot_at(int(key)).absorb(_HistogramSlot.from_row(row))
             self._live_indexes()

@@ -16,7 +16,6 @@ from repro.serving.admission import (
     SHED_LADDER,
     AdmissionController,
     AdmissionRejected,
-    LatencyWindow,
     ShedPolicy,
 )
 from repro.serving.batcher import (
@@ -46,7 +45,6 @@ __all__ = [
     "BatcherClosed",
     "DisambiguationServer",
     "FLUSH_REASONS",
-    "LatencyWindow",
     "MicroBatcher",
     "ProtocolError",
     "REJECT",

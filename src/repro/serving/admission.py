@@ -9,22 +9,29 @@ the ladder is exhausted — the queue is literally full — is a request
 rejected (HTTP 429).
 
 The policy itself (:class:`ShedPolicy`) is a pure function of two load
-signals, *queue-depth fraction* and *observed-p99 / SLO ratio*, and is
+signals, *queue-depth fraction* and *windowed-p99 / SLO ratio*, and is
 monotone in both by construction: more load never yields a more capable
 rung.  That monotonicity is the property the serving chaos suite checks
 with Hypothesis.
+
+The p99 is read from one :class:`~repro.obs.window.WindowedHistogram`
+of request seconds (the last 60 s in twelve 5-second slots).  With a
+metrics registry enabled the server hands admission the registry's
+``serving.request.seconds`` window, so the p99 admission sheds on, the
+p99 ``/metrics`` exports and ``/stats`` ``p99_ms`` are one number; with
+``slo_ms`` on a bucket bound and objective 0.99, the latency ratio
+exceeds 1 exactly when the SLO burn rate does.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
-from collections import deque
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.faults.resilient import DEGRADATION_LADDER
-from repro.obs import get_metrics
+from repro.obs import WindowedHistogram, get_metrics
 
 #: The admission verdicts, most capable first.  The first three are the
 #: degradation ladder rungs a request may start at; ``REJECT`` is the
@@ -89,51 +96,17 @@ class ShedPolicy:
         return SHED_LADDER[index]
 
 
-class LatencyWindow:
-    """Sliding window of recent request latencies with nearest-rank p99.
-
-    Thread-safe; completions are recorded from batch worker callbacks
-    while admissions read the estimate from the event loop.
-    """
-
-    def __init__(self, size: int = 128):
-        if size < 1:
-            raise ValueError("window size must be >= 1")
-        self._samples: Deque[float] = deque(maxlen=size)
-        self._lock = threading.Lock()
-
-    def observe(self, latency_ms: float) -> None:
-        """Record one completed request's latency."""
-        with self._lock:
-            self._samples.append(latency_ms)
-
-    def quantile(self, q: float) -> float:
-        """Nearest-rank quantile of the window (0.0 while empty)."""
-        with self._lock:
-            if not self._samples:
-                return 0.0
-            ordered = sorted(self._samples)
-        rank = max(1, min(len(ordered), int(q * len(ordered) + 0.9999999)))
-        return ordered[rank - 1]
-
-    def p99(self) -> float:
-        """The window's 99th-percentile latency in milliseconds."""
-        return self.quantile(0.99)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._samples)
-
-
 class AdmissionController:
     """Bounded admission with shed-by-rung accounting.
 
     ``admit`` charges one slot and returns the starting rung the request
     is entitled to; ``complete`` releases the slot and feeds the observed
-    latency back into the policy's p99 signal.  Depth therefore counts
+    latency into ``latencies``, the windowed histogram of request seconds
+    whose p99 is the policy's latency signal.  Depth therefore counts
     *outstanding* requests — waiting in the micro-batcher plus in-flight
     in the batch executor — which is the quantity that bounds server
-    memory.
+    memory.  Without a ``latencies`` histogram admission keeps its own,
+    so a server with metrics disabled still sheds on latency.
     """
 
     def __init__(
@@ -141,7 +114,7 @@ class AdmissionController:
         max_queue: int,
         slo_ms: float,
         policy: Optional[ShedPolicy] = None,
-        latency_window: int = 128,
+        latencies: Optional[WindowedHistogram] = None,
     ):
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
@@ -150,7 +123,11 @@ class AdmissionController:
         self.max_queue = max_queue
         self.slo_ms = slo_ms
         self.policy = policy if policy is not None else ShedPolicy()
-        self.latencies = LatencyWindow(latency_window)
+        self.latencies = (
+            latencies
+            if latencies is not None
+            else WindowedHistogram("serving.request.seconds")
+        )
         self._lock = threading.Lock()
         self._depth = 0
         self._admitted: Dict[str, int] = {}
@@ -166,12 +143,9 @@ class AdmissionController:
         with self._lock:
             return self._depth
 
-    def load_signals(self) -> Tuple[float, float]:
-        """Current ``(depth_fraction, latency_ratio)`` policy inputs."""
-        return (
-            self.depth / self.max_queue,
-            self.latencies.p99() / self.slo_ms,
-        )
+    def p99_ms(self) -> float:
+        """The windowed p99 request latency in milliseconds."""
+        return self.latencies.quantile(0.99) * 1000.0
 
     # ------------------------------------------------------------------
     # The admission decision
@@ -184,7 +158,7 @@ class AdmissionController:
         are atomic, so concurrent admissions cannot overshoot
         ``max_queue``.
         """
-        latency_ratio = self.latencies.p99() / self.slo_ms
+        latency_ratio = self.p99_ms() / self.slo_ms
         metrics = get_metrics()
         with self._lock:
             rung = self.policy.rung_for(
@@ -212,7 +186,7 @@ class AdmissionController:
         return rung
 
     def complete(self, latency_ms: Optional[float] = None) -> None:
-        """Release one slot; feed the request's latency into the window."""
+        """Release one slot; record the request's latency."""
         with self._lock:
             if self._depth <= 0:
                 raise ReproError(
@@ -221,22 +195,14 @@ class AdmissionController:
             self._depth -= 1
             self._completed += 1
         if latency_ms is not None:
-            self.latencies.observe(latency_ms)
+            self.latencies.observe(latency_ms / 1000.0)
         metrics = get_metrics()
         if metrics.enabled:
             metrics.gauge("serving.queue_depth").set(self.depth)
-            # The exact p99 the shed policy acts on, refreshed on every
-            # completion so a scrape sees what admission sees.
-            metrics.gauge("serving.latency.p99_ms").set(
-                self.latencies.p99()
-            )
             if latency_ms is not None:
                 metrics.histogram("serving.request.seconds").observe(
                     latency_ms / 1000.0
                 )
-                metrics.windowed_histogram(
-                    "serving.request.seconds"
-                ).observe(latency_ms / 1000.0)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -256,7 +222,7 @@ class AdmissionController:
                 ),
                 "rejected": self._rejected,
                 "completed": self._completed,
-                "p99_ms": self.latencies.p99(),
+                "p99_ms": self.p99_ms(),
             }
 
     @property

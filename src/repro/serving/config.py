@@ -2,8 +2,13 @@
 
 One frozen dataclass holds every serving knob: the listen address, the
 admission-queue bound, the latency SLO that drives load shedding, the
-micro-batch geometry, and the worker fan-out of the batch executor.  The
-CLI ``serve`` command maps its flags onto this config one-to-one.
+micro-batch geometry, the worker fan-out of the batch executor, and the
+trace and SLO settings.  The CLI ``serve`` command maps its flags onto
+this config one-to-one.  What has no flag is a constant of the class it
+belongs to: the shed thresholds are :class:`~repro.serving.ShedPolicy`'s,
+the 60 s / 12-slot metrics window is
+:class:`~repro.obs.WindowedHistogram`'s and the trace spool's bound is
+:class:`~repro.obs.TraceSink`'s.
 """
 
 from __future__ import annotations
@@ -27,9 +32,11 @@ class ServingConfig:
     ``max_queue`` bounds *outstanding admitted* requests (queued plus
     in-flight) — the server never buffers more than this, whatever the
     arrival rate; excess traffic is shed by rung and finally rejected.
-    ``slo_ms`` is the p99 latency objective: observed p99 above it shifts
-    admission down the degradation ladder, and it doubles as the
-    per-attempt soft deadline armed through :class:`repro.faults.Budget`.
+    ``slo_ms`` is the p99 latency objective: a windowed request p99
+    above it shifts admission down the degradation ladder, and it doubles
+    as the per-attempt soft deadline armed through
+    :class:`repro.faults.Budget`.  Each field is the destination of one
+    ``repro serve`` flag.
     """
 
     host: str = "127.0.0.1"
@@ -45,13 +52,6 @@ class ServingConfig:
     #: Worker threads of the per-batch :class:`~repro.core.batch.BatchRunner`.
     workers: int = 4
     executor: str = "thread"
-    #: Queue-depth fractions at which admission degrades one rung
-    #: (full -> no_coherence at the first, -> prior_only at the second).
-    shed_depth_fractions: Tuple[float, float] = (0.5, 0.75)
-    #: Observed-p99 / SLO ratios with the same meaning for latency.
-    shed_latency_ratios: Tuple[float, float] = (1.0, 2.0)
-    #: Sliding-window size of the latency estimator feeding the policy.
-    latency_window: int = 128
     #: Head-sampling rate for healthy traces (1.0 keeps every trace;
     #: SLO-breaching and erroring requests are always kept — tail
     #: sampling is unconditional).
@@ -59,15 +59,9 @@ class ServingConfig:
     #: JSONL path full span trees are spooled to (``None`` disables the
     #: trace sink; spans are still recorded, then discarded on completion).
     trace_export: Optional[str] = None
-    #: Trace-count bound of the JSONL spool.
-    trace_export_max_traces: int = 10_000
     #: SLO objective: the good-request fraction the error budget is
     #: computed against (0.99 = "99% of requests good").
     slo_objective: float = 0.99
-    #: Rolling window geometry for windowed serving metrics and the SLO
-    #: burn rate.
-    metrics_window_seconds: float = 60.0
-    metrics_window_buckets: int = 12
 
     def __post_init__(self) -> None:
         if self.port < 0 or self.port > 65535:
@@ -87,35 +81,11 @@ class ServingConfig:
                 f"executor must be one of {SERVING_EXECUTORS}, "
                 f"got {self.executor!r}"
             )
-        lo_d, hi_d = self.shed_depth_fractions
-        if not (0.0 < lo_d <= hi_d <= 1.0):
-            raise ConfigurationError(
-                "shed_depth_fractions must satisfy 0 < lo <= hi <= 1"
-            )
-        lo_r, hi_r = self.shed_latency_ratios
-        if not (0.0 < lo_r <= hi_r):
-            raise ConfigurationError(
-                "shed_latency_ratios must satisfy 0 < lo <= hi"
-            )
-        if self.latency_window < 1:
-            raise ConfigurationError("latency_window must be >= 1")
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ConfigurationError(
                 "trace_sample_rate must be in [0, 1]"
             )
-        if self.trace_export_max_traces < 1:
-            raise ConfigurationError(
-                "trace_export_max_traces must be >= 1"
-            )
         if not 0.0 < self.slo_objective < 1.0:
             raise ConfigurationError(
                 "slo_objective must be in (0, 1)"
-            )
-        if self.metrics_window_seconds <= 0:
-            raise ConfigurationError(
-                "metrics_window_seconds must be > 0"
-            )
-        if self.metrics_window_buckets < 1:
-            raise ConfigurationError(
-                "metrics_window_buckets must be >= 1"
             )

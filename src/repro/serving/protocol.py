@@ -51,6 +51,8 @@ def document_from_payload(payload: Dict, recognizer=None) -> Document:
     else:
         raise ProtocolError("request needs 'text' or 'tokens'")
     if "mentions" in payload:
+        if not isinstance(payload["mentions"], list):
+            raise ProtocolError("'mentions' must be a list")
         mentions: List[Mention] = []
         for row in payload["mentions"]:
             try:
@@ -63,10 +65,10 @@ def document_from_payload(payload: Dict, recognizer=None) -> Document:
                 raise ProtocolError(
                     f"malformed mention record: {exc}"
                 ) from exc
-            if mention.end > len(tokens):
+            if mention.start < 0 or mention.end > len(tokens):
                 raise ProtocolError(
-                    f"mention span {mention.start}:{mention.end} exceeds "
-                    f"document length {len(tokens)}"
+                    f"mention span {mention.start}:{mention.end} lies "
+                    f"outside the document's {len(tokens)} tokens"
                 )
             mentions.append(mention)
         return Document(

@@ -23,7 +23,8 @@ The HTTP parser is bounded: a request must be read within
 lines and declared body are capped (414, 431, 413).
 
 Results resolve per-request futures on the event loop; latency feeds
-back into the admission policy's p99 signal, closing the shedding loop.
+the windowed histogram whose p99 admission sheds on, closing the
+shedding loop.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -54,11 +56,7 @@ from repro.obs import (
     log_event,
     render_prometheus,
 )
-from repro.serving.admission import (
-    AdmissionController,
-    AdmissionRejected,
-    ShedPolicy,
-)
+from repro.serving.admission import AdmissionController, AdmissionRejected
 from repro.serving.batcher import MicroBatcher
 from repro.serving.config import ServingConfig
 from repro.serving.protocol import (
@@ -94,6 +92,9 @@ MAX_HEADER_LINES = 100
 #: Seconds a client has to send its whole request (request line, headers
 #: and body); a slower one is answered 408.
 REQUEST_READ_TIMEOUT_S = 5.0
+
+#: A ``Content-Length`` value: ASCII digits only.
+_DIGITS = re.compile(r"[0-9]+")
 
 
 class _RequestRejected(Exception):
@@ -284,20 +285,20 @@ class DisambiguationServer:
             if self.kb is not None
             else None
         )
+        # Admission sheds on the registry's windowed request latency, so
+        # /metrics exports the p99 admission acts on.
+        metrics = get_metrics()
         self.admission = AdmissionController(
             max_queue=self.config.max_queue,
             slo_ms=self.config.slo_ms,
-            policy=ShedPolicy(
-                depth_fractions=self.config.shed_depth_fractions,
-                latency_ratios=self.config.shed_latency_ratios,
+            latencies=(
+                metrics.windowed_histogram("serving.request.seconds")
+                if metrics.enabled
+                else None
             ),
-            latency_window=self.config.latency_window,
         )
         self.slo = SloTracker(
-            slo_ms=self.config.slo_ms,
-            objective=self.config.slo_objective,
-            window_seconds=self.config.metrics_window_seconds,
-            window_buckets=self.config.metrics_window_buckets,
+            slo_ms=self.config.slo_ms, objective=self.config.slo_objective
         )
         self._trace_sink: Optional[TraceSink] = None
         self._sample_accum = 1.0  # first request is always head-sampled
@@ -306,28 +307,6 @@ class DisambiguationServer:
         self._executor: Optional[ThreadPoolExecutor] = None
         self._started = False
         self.port: Optional[int] = None
-        self._fix_window_geometry()
-
-    def _fix_window_geometry(self) -> None:
-        """Pre-create windowed serving metrics so their ring geometry
-        follows this config (created-on-first-use kwargs would otherwise
-        pin registry defaults)."""
-        metrics = get_metrics()
-        if not metrics.enabled:
-            return
-        geometry = {
-            "window_seconds": self.config.metrics_window_seconds,
-            "window_buckets": self.config.metrics_window_buckets,
-        }
-        for name in (
-            "serving.admitted",
-            "serving.shed",
-            "serving.rejected",
-            "serving.responses",
-            "serving.failures",
-        ):
-            metrics.windowed_counter(name, **geometry)
-        metrics.windowed_histogram("serving.request.seconds", **geometry)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -340,10 +319,7 @@ class DisambiguationServer:
             raise ReproError("server already started")
         self._started = True
         if self.config.trace_export is not None:
-            self._trace_sink = TraceSink(
-                self.config.trace_export,
-                max_traces=self.config.trace_export_max_traces,
-            )
+            self._trace_sink = TraceSink(self.config.trace_export)
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serving-batch"
         )
@@ -724,8 +700,9 @@ class DisambiguationServer:
         reader: asyncio.StreamReader,
     ) -> Tuple[str, str, bytes]:
         """``(method, path, body)``; raises :class:`_RequestRejected` for
-        a malformed request line or length or a body shorter than its
-        ``Content-Length`` (400), a request line longer than the stream
+        a malformed request line, a ``Content-Length`` that is not all
+        digits or that repeats with another value, or a body shorter than
+        its ``Content-Length`` (400), a request line longer than the stream
         reader's line limit (414), too many header lines or one over the
         line limit (431), or a declared body above :data:`MAX_BODY_BYTES`
         (413)."""
@@ -734,7 +711,7 @@ class DisambiguationServer:
         if len(parts) != 3:
             raise _RequestRejected(400, "malformed request")
         method, path, _version = parts
-        content_length = 0
+        lengths = set()
         header_lines = 0
         while True:
             line = await _read_line(reader, 431, "header line")
@@ -747,12 +724,17 @@ class DisambiguationServer:
                 )
             name, _, value = line.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    raise _RequestRejected(400, "malformed request")
-        if content_length < 0:
-            raise _RequestRejected(400, "negative Content-Length")
+                lengths.add(value.strip(" \t\r\n"))
+        # RFC 9112 section 6.3: the value is 1*DIGIT, and repeats must
+        # agree (int() alone would also read "1_0" or "+5").
+        if len(lengths) > 1:
+            raise _RequestRejected(400, "conflicting Content-Length values")
+        content_length = 0
+        if lengths:
+            value = lengths.pop()
+            if not _DIGITS.fullmatch(value):
+                raise _RequestRejected(400, "malformed Content-Length")
+            content_length = int(value)
         if content_length > MAX_BODY_BYTES:
             raise _RequestRejected(
                 413,

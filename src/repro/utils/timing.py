@@ -3,10 +3,11 @@ the per-stage pipeline instrumentation."""
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Union
+
+from repro.obs.metrics import nearest_rank
 
 
 class Stopwatch:
@@ -90,29 +91,6 @@ class PipelineStats:
         )
 
     @classmethod
-    def from_registry(
-        cls, registry, stage_prefix: str = "pipeline.stage."
-    ) -> "PipelineStats":
-        """View a :class:`repro.obs.metrics.MetricsRegistry` as stats.
-
-        ``phase_seconds`` comes from the ``{stage_prefix}<name>.seconds``
-        histogram sums; ``counters`` from every registry counter.  This
-        is the cross-document aggregate view — per-document stats stay on
-        each :class:`~repro.types.DisambiguationResult`.
-        """
-        snapshot = registry.snapshot()
-        suffix = ".seconds"
-        phase_seconds: Dict[str, float] = {}
-        for name, hist in snapshot.get("histograms", {}).items():
-            if name.startswith(stage_prefix) and name.endswith(suffix):
-                phase = name[len(stage_prefix):-len(suffix)]
-                phase_seconds[phase] = float(hist.get("sum", 0.0))
-        return cls(
-            phase_seconds=phase_seconds,
-            counters=dict(snapshot.get("counters", {})),
-        )
-
-    @classmethod
     def merge(cls, stats: Iterable["PipelineStats"]) -> "PipelineStats":
         """Fold per-document stats into corpus totals.
 
@@ -175,18 +153,9 @@ class TimingStats:
         return (sum((x - mean) ** 2 for x in self.samples) / (n - 1)) ** 0.5
 
     def quantile(self, q: float) -> float:
-        """Empirical quantile by nearest-rank (q in [0, 1]).
-
-        Nearest-rank is ``ceil(q*n) - 1`` (0-based): q=0.9 over 10
-        samples is the 9th ordered sample, not the maximum.  The epsilon
-        guards against float products like ``q*n = 9.000000000000002``
-        ceiling one rank too far.
-        """
+        """Empirical quantile by :func:`~repro.obs.metrics.nearest_rank`
+        (q in [0, 1]; 0.0 when empty)."""
         if not self.samples:
             return 0.0
         ordered = sorted(self.samples)
-        rank = min(
-            len(ordered) - 1,
-            max(0, math.ceil(q * len(ordered) - 1e-9) - 1),
-        )
-        return ordered[rank]
+        return ordered[nearest_rank(q, len(ordered)) - 1]

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from ledger.quantiles import rank as ledger_rank
 from repro.obs import (
     Histogram,
     MetricsRegistry,
@@ -14,6 +15,32 @@ from repro.obs import (
     get_metrics,
     set_metrics,
 )
+from repro.obs.metrics import nearest_rank
+from repro.utils.timing import TimingStats
+
+
+class TestNearestRank:
+    QS = (0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 1.0)
+
+    def test_equals_the_ledger_rule(self):
+        """The ledger keeps its own copy of the rule; the two agree.
+        Every whole percentile is checked too: products such as
+        0.07 * 100 = 7.000000000000001 need the epsilon."""
+        percentiles = tuple(k / 100 for k in range(101))
+        for n in range(1, 1001):
+            for q in self.QS + percentiles:
+                assert nearest_rank(q, n) == ledger_rank(q, n), (q, n)
+
+    def test_timing_stats_and_histogram_share_it(self):
+        samples = [float(value) for value in range(1, 151)]
+        stats = TimingStats(list(samples))
+        histogram = Histogram("h", buckets=samples)
+        for value in samples:
+            histogram.observe(value)
+        for q in self.QS:
+            expected = samples[nearest_rank(q, len(samples)) - 1]
+            assert stats.quantile(q) == expected
+            assert histogram.quantile(q) == expected
 
 
 class TestCounterGauge:

@@ -3,26 +3,40 @@
 The policy is a pure function, so most of this suite needs no server:
 bounded depth, shed thresholds, reject-only-at-the-bound, and the
 Hypothesis property that rising load can never yield a more capable
-rung than an earlier-admitted request got.
+rung than an earlier-admitted request got.  The latency signal is a
+windowed histogram of request seconds; tests inject one on a fake clock
+so samples age out on demand, and hold the shed decision to the SLO
+tracker's burn rate on the same clock.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.faults.resilient import DEGRADATION_LADDER
+from repro.obs import DEFAULT_BUCKETS, SloTracker, WindowedHistogram
 from repro.serving.admission import (
     REJECT,
     SHED_LADDER,
     AdmissionController,
     AdmissionRejected,
-    LatencyWindow,
     ShedPolicy,
 )
 
+from tests.obs.test_window import FakeClock
+
 RUNG_INDEX = {rung: index for index, rung in enumerate(SHED_LADDER)}
+
+
+def clocked_controller(max_queue: int, slo_ms: float, clock: FakeClock):
+    """An admission controller whose latency window runs on *clock*."""
+    return AdmissionController(
+        max_queue=max_queue,
+        slo_ms=slo_ms,
+        latencies=WindowedHistogram("serving.request.seconds", clock=clock),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +107,7 @@ def test_shed_ladder_monotone_under_rising_load(
     earlier-admitted one, and the first reject ends admission for good.
     """
     controller = AdmissionController(max_queue=max_queue, slo_ms=1000.0)
-    controller.latencies.observe(seed_latency)
+    controller.latencies.observe(seed_latency / 1000.0)
     indices = []
     rejected_at = None
     for arrival in range(arrivals):
@@ -139,16 +153,17 @@ def test_admission_sheds_before_rejecting():
 
 
 def test_latency_pressure_degrades_admission():
-    controller = AdmissionController(
-        max_queue=100, slo_ms=100.0, latency_window=8
-    )
+    clock = FakeClock()
+    controller = clocked_controller(100, 100.0, clock)
     assert controller.admit() == "full"
     for _ in range(8):
-        controller.latencies.observe(150.0)  # p99 = 1.5x SLO
+        controller.latencies.observe(0.150)  # p99 = 1.5x SLO
     assert controller.admit() == "no_coherence"
     for _ in range(8):
-        controller.latencies.observe(500.0)  # p99 = 5x SLO
+        controller.latencies.observe(0.500)  # p99 = 5x SLO
     assert controller.admit() == "prior_only"
+    clock.advance(60.0)  # both bursts age out of the window
+    assert controller.admit() == "full"
 
 
 def test_complete_without_admit_raises():
@@ -175,25 +190,90 @@ def test_stats_and_rung_mix_accounting():
 
 
 # ----------------------------------------------------------------------
-# LatencyWindow
+# The latency window: one windowed histogram of request seconds
 # ----------------------------------------------------------------------
 def test_latency_window_quantiles():
-    window = LatencyWindow(size=100)
-    assert window.p99() == 0.0
+    """complete() feeds milliseconds in as seconds; the p99 is the
+    nearest-rank bucket estimate, never below the exact p99."""
+    controller = clocked_controller(4, 1000.0, FakeClock())
+    assert controller.stats()["p99_ms"] == 0.0
     for value in range(1, 101):
-        window.observe(float(value))
-    assert window.p99() == 99.0
-    assert window.quantile(0.5) == 50.0
-    assert len(window) == 100
+        controller.admit()
+        controller.complete(latency_ms=float(value))
+    assert controller.latencies.count == 100
+    # The 99th of 1..100 ms lies in the (50, 100] ms bucket.
+    assert controller.stats()["p99_ms"] == pytest.approx(100.0)
+    assert controller.p99_ms() >= 99.0
+    assert controller.latencies.quantile(0.5) == 0.05
 
 
 def test_latency_window_slides():
-    window = LatencyWindow(size=4)
-    for value in (1.0, 2.0, 3.0, 4.0, 100.0):
-        window.observe(value)
-    # The 1.0 sample fell out of the window.
-    assert window.quantile(0.0) >= 2.0 or window.quantile(0.25) >= 2.0
-    assert window.p99() == 100.0
+    """A slow request sheds until it is older than the window."""
+    clock = FakeClock()
+    controller = clocked_controller(4, 100.0, clock)
+    controller.latencies.observe(0.5)  # one request at 5x the SLO
+    assert controller.admit() == "prior_only"
+    clock.advance(30.0)
+    controller.complete(latency_ms=2.0)
+    assert controller.p99_ms() == pytest.approx(500.0)
+    clock.advance(30.0)  # the 0.5 s sample leaves; the 2 ms one stays
+    assert controller.p99_ms() == pytest.approx(2.0)
+    assert controller.admit() == "full"
+
+
+def test_metrics_disabled_admission_keeps_its_own_window():
+    controller = AdmissionController(max_queue=2, slo_ms=100.0)
+    assert isinstance(controller.latencies, WindowedHistogram)
+    controller.admit()
+    controller.complete(latency_ms=500.0)
+    assert controller.admit() == "prior_only"
+
+
+@settings(max_examples=150, deadline=None)
+@example(slo_ms=100.0, runs=[(0.0, 500, 5_000), (0.0, 4, 150_000)])
+@example(slo_ms=100.0, runs=[(0.0, 500, 5_000), (0.0, 6, 150_000)])
+@example(
+    slo_ms=100.0,
+    runs=[(0.0, 500, 5_000), (0.0, 6, 150_000), (61.0, 1, 5_000)],
+)
+@given(
+    slo_ms=st.sampled_from([bound * 1000.0 for bound in DEFAULT_BUCKETS]),
+    runs=st.lists(
+        st.tuples(
+            st.floats(0.0, 30.0),  # seconds before the run
+            st.integers(1, 150),  # requests in the run
+            st.one_of(  # their latency, in whole microseconds
+                st.integers(1, 90_000_000),
+                st.builds(
+                    lambda bound, offset: max(1, round(bound * 1e6) + offset),
+                    st.sampled_from(DEFAULT_BUCKETS),
+                    st.integers(-2, 2),
+                ),
+            ),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_latency_signal_agrees_with_slo_burn_rate(slo_ms, runs):
+    """With the SLO on a bucket bound and objective 0.99, admission sheds
+    on latency exactly when the SLO tracker burns faster than 1x — one
+    latency sequence fed to both on one clock, samples ageing out."""
+    clock = FakeClock()
+    controller = clocked_controller(2, slo_ms, clock)
+    tracker = SloTracker(slo_ms=slo_ms, objective=0.99, clock=clock)
+    for wait_s, count, latency_us in runs:
+        clock.advance(wait_s)
+        latency_ms = latency_us / 1000.0
+        for _ in range(count):
+            controller.admit()
+            controller.complete(latency_ms=latency_ms)
+            tracker.record(latency_ms)
+        burning = tracker.burn_rate() > 1.0
+        assert (controller.p99_ms() / slo_ms > 1.0) == burning
+        rung = controller.admit()  # the empty queue leaves latency alone
+        controller.complete()
+        assert (rung != "full") == burning
 
 
 def test_invalid_construction():
@@ -201,5 +281,3 @@ def test_invalid_construction():
         AdmissionController(max_queue=0, slo_ms=100.0)
     with pytest.raises(ValueError):
         AdmissionController(max_queue=1, slo_ms=0.0)
-    with pytest.raises(ValueError):
-        LatencyWindow(size=0)

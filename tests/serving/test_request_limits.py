@@ -6,13 +6,18 @@ answer at once; a negative ``Content-Length`` or a body cut short of it
 answers 400; more than ``MAX_HEADER_LINES`` header lines, or one header
 line over the stream reader's 64 KiB line limit, answer 431; a request
 line over that limit answers 414; a client that has not sent its whole
-request within ``REQUEST_READ_TIMEOUT_S`` answers 408.  Every parse-level
-rejection carries a minted ``request_id``, as other error bodies do.
+request within ``REQUEST_READ_TIMEOUT_S`` answers 408.  A
+``Content-Length`` that is not all digits, or that repeats with another
+value, answers 400 (RFC 9112 section 6.3), and so does a payload whose
+``mentions`` is not a list of in-range spans, over HTTP and as a JSONL
+error row.  Every parse-level rejection carries a minted ``request_id``,
+as other error bodies do.
 """
 
 from __future__ import annotations
 
 import asyncio
+import io
 import json
 
 import pytest
@@ -92,6 +97,97 @@ def test_negative_content_length_answers_400(serving_pipeline, kb):
         return await _exchange(server.port, _request("Content-Length: -5"))
 
     _assert_rejected(drive(server, driver), 400)
+
+
+@pytest.mark.parametrize(
+    "value", ["1_0", "+5", "0x10", "5 5", "", "\u00b2"]
+)
+def test_content_length_not_all_digits_answers_400(
+    serving_pipeline, kb, value
+):
+    server = make_server(serving_pipeline, kb=kb)
+    raw = _request(f"Content-Length: {value}") + b"0123456789"
+
+    async def driver(server):
+        return await _exchange(server.port, raw, eof=True)
+
+    answer = drive(server, driver)
+    _assert_rejected(answer, 400)
+    assert "Content-Length" in answer[1]["error"]
+
+
+def test_conflicting_content_lengths_answer_400(serving_pipeline, kb):
+    server = make_server(serving_pipeline, kb=kb)
+    body = json.dumps({"doc_id": "cl", "text": "Paris ."}).encode()
+    raw = _request("Content-Length: 3", f"Content-Length: {len(body)}")
+
+    async def driver(server):
+        return await _exchange(server.port, raw + body, eof=True)
+
+    answer = drive(server, driver)
+    _assert_rejected(answer, 400)
+    assert "conflicting" in answer[1]["error"]
+
+
+def test_repeated_equal_content_length_is_accepted(serving_pipeline, kb):
+    server = make_server(serving_pipeline, kb=kb)
+    raw = (
+        "GET /healthz HTTP/1.1\r\n"
+        "Content-Length: 0\r\nContent-Length: 0\r\n\r\n"
+    ).encode("latin-1")
+
+    async def driver(server):
+        return await _exchange(server.port, raw)
+
+    status, body = drive(server, driver)
+    assert status == 200
+    assert body["status"] == "ok"
+
+
+#: Payloads ``document_from_payload`` must refuse with a ProtocolError.
+MALFORMED_MENTIONS = {
+    "mentions-not-a-list": {"tokens": ["a", "b"], "mentions": 5},
+    "negative-start": {
+        "tokens": ["a", "b"],
+        "mentions": [{"surface": "a b", "start": -1, "end": 1}],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "payload", list(MALFORMED_MENTIONS.values()), ids=list(MALFORMED_MENTIONS)
+)
+def test_malformed_mentions_answer_400(serving_pipeline, kb, payload):
+    server = make_server(serving_pipeline, kb=kb)
+    body = json.dumps(payload).encode()
+    raw = _request(f"Content-Length: {len(body)}") + body
+
+    async def driver(server):
+        return await _exchange(server.port, raw)
+
+    answer = drive(server, driver)
+    _assert_rejected(answer, 400)
+    assert answer[1]["error"].startswith("ProtocolError")
+
+
+@pytest.mark.parametrize(
+    "payload", list(MALFORMED_MENTIONS.values()), ids=list(MALFORMED_MENTIONS)
+)
+def test_malformed_mentions_are_jsonl_protocol_errors(
+    serving_pipeline, kb, payload
+):
+    server = make_server(serving_pipeline, kb=kb)
+    in_stream = io.StringIO(json.dumps(payload) + "\n")
+    out_stream = io.StringIO()
+
+    async def driver(server):
+        return await server.run_jsonl(in_stream, out_stream)
+
+    assert drive(server, driver, listen=False) == 1
+    row = json.loads(out_stream.getvalue())
+    assert row["error"].startswith("ProtocolError")
+    assert row["request_id"].startswith("req-")
+    assert "assignments" not in row
 
 
 def test_too_many_header_lines_answer_431(serving_pipeline, kb):

@@ -34,6 +34,7 @@ from repro.obs import (
 from repro.obs.report import build_report, group_traces, load_spans
 from repro.serving import DisambiguationServer, ServingConfig
 
+from tests.obs.test_window import FakeClock
 from tests.serving.conftest import (
     comparable,
     document_payload,
@@ -184,9 +185,12 @@ class TestProcessPoolTraceTree:
         assert saw_pool_batch
         assert saw_worker_span
 
-        # Satellite: the admission p99 gauge is live after completions.
-        gauges = registry.snapshot()["gauges"]
-        assert gauges["serving.latency.p99_ms"] > 0.0
+        # Admission's p99 is the exported windowed p99, live after
+        # completions.
+        window = registry.snapshot()["windows"]["histograms"]
+        p99 = window["serving.request.seconds"]["p99"]
+        assert p99 > 0.0
+        assert server.admission.stats()["p99_ms"] == p99 * 1000.0
 
         # The exported file feeds the CLI report.
         capsys.readouterr()
@@ -297,6 +301,53 @@ class TestScrapeSurface:
                 assert body["slo"]["objective"] == pytest.approx(0.99)
                 assert body["telemetry"]["tracing"] is True
                 assert body["telemetry"]["dropped_spans"] == 0
+
+    def test_stats_p99_is_the_exported_window_p99(
+        self, serving_pipeline, kb, sample_docs, live_obs
+    ):
+        """/stats p99_ms, the /metrics windowed p99 and the shed signal
+        are one number: admission reads the registry's window, here on
+        a fake clock so the samples can age out."""
+        tracer, registry = live_obs
+        clock = FakeClock()
+        window = registry.windowed_histogram(
+            "serving.request.seconds", clock=clock
+        )
+        server = make_server(serving_pipeline, kb=kb)
+        assert server.admission.latencies is window
+        documents = [a.document for a in sample_docs[:3]]
+
+        async def scrape(server):
+            _status, stats, _headers = await http_request(
+                server.port, "GET", "/stats"
+            )
+            _status, metrics, _headers = await http_request(
+                server.port, "GET", "/metrics"
+            )
+            exported = metrics["windows"]["histograms"][
+                "serving.request.seconds"
+            ]
+            return stats["p99_ms"], exported["p99"], exported["count"]
+
+        async def driver(server):
+            for document in documents:
+                status, _body, _headers = await http_request(
+                    server.port,
+                    "POST",
+                    "/disambiguate",
+                    document_payload(document),
+                )
+                assert status == 200
+            live = await scrape(server)
+            clock.advance(60.0)
+            return live, await scrape(server)
+
+        live, aged = drive(server, driver)
+        p99_ms, exported_p99, count = live
+        assert count == len(documents)
+        assert p99_ms > 0.0
+        assert p99_ms == exported_p99 * 1000.0
+        assert aged == (0.0, 0.0, 0)
 
     def test_prometheus_scrape_disabled_metrics_is_empty(
         self, serving_pipeline, kb

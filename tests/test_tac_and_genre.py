@@ -1,24 +1,11 @@
-"""Tests for the TAC-KBP-style protocol and genre adaptation."""
+"""Tests for the TAC-KBP-style protocol."""
 
 import pytest
 
 from repro.core.config import AidaConfig
-from repro.core.genre import (
-    GENRE_REGULAR,
-    GENRE_SHORT,
-    GenreAdaptiveDisambiguator,
-    GenreThresholds,
-    classify_genre,
-)
 from repro.core.pipeline import AidaDisambiguator
-from repro.datagen.documents import DocumentSpec
-from repro.datagen.kore50 import Kore50Config, generate_kore50
-from repro.eval.tac import (
-    TacQuery,
-    evaluate_tac,
-    queries_from_corpus,
-)
-from repro.types import Document, Mention, OUT_OF_KB
+from repro.eval.tac import evaluate_tac, queries_from_corpus
+from repro.types import OUT_OF_KB
 
 
 class TestQueriesFromCorpus:
@@ -81,84 +68,3 @@ class TestEvaluateTac:
         result = evaluate_tac(pipeline, [])
         assert result.total == 0
         assert result.accuracy == 0.0
-
-
-class TestGenreClassification:
-    def _doc(self, tokens, num_mentions):
-        mentions = tuple(
-            Mention(surface=f"M{i}", start=i, end=i + 1)
-            for i in range(num_mentions)
-        )
-        return Document(
-            doc_id="g", tokens=tuple(tokens), mentions=mentions
-        )
-
-    def test_short_document(self):
-        doc = self._doc(["w"] * 14, num_mentions=3)
-        assert classify_genre(doc) == GENRE_SHORT
-
-    def test_long_prose(self):
-        doc = self._doc(["w"] * 300, num_mentions=6)
-        assert classify_genre(doc) == GENRE_REGULAR
-
-    def test_mention_dense_long_doc_is_short_genre(self):
-        doc = self._doc(["w"] * 100, num_mentions=20)
-        assert classify_genre(doc) == GENRE_SHORT
-
-    def test_custom_thresholds(self):
-        doc = self._doc(["w"] * 50, num_mentions=2)
-        assert (
-            classify_genre(doc, GenreThresholds(max_tokens=60))
-            == GENRE_SHORT
-        )
-
-
-class TestGenreAdaptiveDisambiguator:
-    def test_routes_by_genre(self, kb, world, doc_generator):
-        adaptive = GenreAdaptiveDisambiguator(kb)
-        kore50 = generate_kore50(world, Kore50Config(num_sentences=3))
-        assert adaptive.genre_of(kore50[0].document) == GENRE_SHORT
-        long_doc = doc_generator.generate(
-            DocumentSpec(
-                doc_id="long", cluster_ids=[0], num_mentions=6,
-                filler_sentences=8,
-            )
-        )
-        assert adaptive.genre_of(long_doc.document) == GENRE_REGULAR
-
-    def test_disambiguates_both_genres(self, kb, world, doc_generator):
-        adaptive = GenreAdaptiveDisambiguator(kb)
-        kore50 = generate_kore50(world, Kore50Config(num_sentences=2))
-        result = adaptive.disambiguate(kore50[0].document)
-        assert len(result.assignments) == len(kore50[0].document.mentions)
-        long_doc = doc_generator.generate(
-            DocumentSpec(doc_id="long2", cluster_ids=[1], num_mentions=5)
-        )
-        result = adaptive.disambiguate(long_doc.document)
-        assert len(result.assignments) == len(long_doc.document.mentions)
-
-    def test_not_worse_than_plain_on_mixed_corpus(
-        self, kb, world, doc_generator
-    ):
-        from repro.eval.runner import run_disambiguator
-
-        mixed = list(
-            generate_kore50(world, Kore50Config(num_sentences=8))
-        )
-        for index in range(8):
-            mixed.append(
-                doc_generator.generate(
-                    DocumentSpec(
-                        doc_id=f"mix-{index}",
-                        cluster_ids=[index % len(world.clusters)],
-                        num_mentions=5,
-                    )
-                )
-            )
-        plain = run_disambiguator(
-            AidaDisambiguator(kb, config=AidaConfig.full()), mixed, kb=kb
-        )
-        adaptive = run_disambiguator(
-            GenreAdaptiveDisambiguator(kb), mixed, kb=kb
-        )
-        assert adaptive.micro >= plain.micro - 0.05
