@@ -273,7 +273,6 @@ def run_serving_benchmark(documents: List[Document]) -> Dict[str, object]:
                 ServingConfig(
                     port=0,
                     slo_ms=600_000.0,
-                    batch_window_ms=5.0,
                     batch_max_docs=8,
                     workers=4,
                     trace_export=trace_path,

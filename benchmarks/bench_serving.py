@@ -132,7 +132,6 @@ async def run_trial(
             port=0,
             max_queue=max_queue,
             slo_ms=slo_ms,
-            batch_window_ms=2.0,
             batch_max_docs=8,
             workers=4,
         ),

@@ -230,13 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
         "default per-attempt soft deadline unless --deadline-ms is given",
     )
     serve.add_argument(
-        "--batch-window-ms", type=float, default=25.0,
-        help="micro-batch age trigger: a batch flushes when its oldest "
-        "request has waited this long",
+        "--batch-window-ms", type=float, default=None,
+        help="ignored: a micro-batch leaves as soon as the executor is "
+        "free, with no age window",
     )
     serve.add_argument(
         "--batch-max-docs", type=int, default=16,
-        help="micro-batch size trigger",
+        help="most documents one micro-batch takes from the queue",
     )
     serve.add_argument(
         "--workers", type=int, default=4,
@@ -782,6 +782,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Handle ``serve``: the admission-controlled online service."""
     from repro.serving import DisambiguationServer, ServingConfig
 
+    if args.batch_window_ms is not None:
+        print(
+            "--batch-window-ms is ignored: micro-batches leave as soon "
+            "as the executor is free",
+            file=sys.stderr,
+        )
     obs = _ObsSession(args)
     # The /metrics endpoint and the shed counters need a live registry
     # even without --metrics-out, and --trace-export needs a live tracer
@@ -800,7 +806,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 max_queue=args.max_queue,
                 slo_ms=args.slo_ms,
                 batch_max_docs=args.batch_max_docs,
-                batch_window_ms=args.batch_window_ms,
                 workers=args.workers,
                 executor=args.executor,
                 trace_sample_rate=args.trace_sample_rate,

@@ -25,7 +25,10 @@ the number of attempts (rungs tried) on
 Per attempt, a fresh :class:`~repro.faults.deadline.Budget` is armed: the
 soft deadline bounds each *attempt*, so a degraded rung gets its own time
 slice after a blown full-inference attempt rather than inheriting an
-already-exhausted budget.
+already-exhausted budget.  The floor rung of a wrapper that degrades runs
+with no deadline: a dictionary lookup per mention cannot be made cheaper,
+so latency pressure degrades a document but never fails it.  A wrapper
+that cannot degrade keeps the deadline on its one rung.
 """
 
 from __future__ import annotations
@@ -168,8 +171,11 @@ class ResilientDisambiguator:
             return result
 
     def _attempt(self, rung: str, document, kwargs):
-        """One budgeted attempt of *rung*'s pipeline."""
+        """One attempt of *rung*'s pipeline, budgeted unless it is the
+        floor rung of a degrading ladder."""
         deadline_ms = self.robustness.deadline_ms
+        if self._can_degrade and rung == DEGRADATION_LADDER[-1]:
+            deadline_ms = None
         with get_tracer().span(
             f"rung.{rung}",
             category="robust",

@@ -118,17 +118,24 @@ class TraceContext:
         )
 
 
-_local = threading.local()
+class _ContextLocal(threading.local):
+    """Per-thread active context; the class default makes a thread that
+    never set one read ``None`` without a failed attribute lookup."""
+
+    context: Optional[TraceContext] = None
+
+
+_local = _ContextLocal()
 
 
 def current_context() -> Optional[TraceContext]:
     """The calling thread's active context, or None outside a request."""
-    return getattr(_local, "context", None)
+    return _local.context
 
 
 def set_context(context: Optional[TraceContext]) -> Optional[TraceContext]:
     """Install *context* on this thread; returns the previous one."""
-    previous = getattr(_local, "context", None)
+    previous = _local.context
     _local.context = context
     return previous
 

@@ -34,7 +34,6 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional
 
 from repro.obs.context import current_context
@@ -44,29 +43,65 @@ from repro.obs.context import current_context
 DEFAULT_MAX_SPANS = 65_536
 
 
-@dataclass
 class SpanRecord:
     """One finished span.
 
     ``start``/``duration`` are seconds on the tracer's monotonic clock
     (``start`` is relative to the tracer's construction); ``wall_start``
     is an absolute ``time.time()`` epoch for correlation with logs.
+
+    A slotted class built from positional arguments: every enabled span
+    allocates one, so it skips the dataclass keyword machinery.
     """
 
-    name: str
-    category: str
-    start: float
-    duration: float
-    tid: int
-    span_id: int
-    parent_id: Optional[int]
-    depth: int
-    enter_seq: int
-    exit_seq: int
-    wall_start: float
-    args: Dict[str, Any] = field(default_factory=dict)
-    trace_id: Optional[str] = None
-    request_id: Optional[str] = None
+    __slots__ = (
+        "name",
+        "category",
+        "start",
+        "duration",
+        "tid",
+        "span_id",
+        "parent_id",
+        "depth",
+        "enter_seq",
+        "exit_seq",
+        "wall_start",
+        "args",
+        "trace_id",
+        "request_id",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        category: str,
+        start: float,
+        duration: float,
+        tid: int,
+        span_id: int,
+        parent_id: Optional[int],
+        depth: int,
+        enter_seq: int,
+        exit_seq: int,
+        wall_start: float,
+        args: Optional[Dict[str, Any]] = None,
+        trace_id: Optional[str] = None,
+        request_id: Optional[str] = None,
+    ) -> None:
+        self.name = name
+        self.category = category
+        self.start = start
+        self.duration = duration
+        self.tid = tid
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.depth = depth
+        self.enter_seq = enter_seq
+        self.exit_seq = exit_seq
+        self.wall_start = wall_start
+        self.args = args if args is not None else {}
+        self.trace_id = trace_id
+        self.request_id = request_id
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-friendly view (the JSONL exporter's line payload)."""
@@ -87,6 +122,14 @@ class SpanRecord:
         if self.request_id is not None:
             payload["request_id"] = self.request_id
         return payload
+
+
+class _SpanStack(threading.local):
+    """Per-thread stack of open spans; every thread starts with its own
+    empty list, so reading it never fails an attribute lookup."""
+
+    def __init__(self) -> None:
+        self.stack: List[SpanRecord] = []
 
 
 class _SpanContext:
@@ -146,7 +189,7 @@ class Tracer:
             raise ValueError("max_spans must be >= 1")
         self._lock = threading.Lock()
         self._records: Deque[SpanRecord] = collections.deque()
-        self._local = threading.local()
+        self._local = _SpanStack()
         self._ids = itertools.count(span_id_base + 1)
         self._seq = itertools.count(1)
         self._epoch = time.perf_counter()
@@ -188,7 +231,7 @@ class Tracer:
 
     def current_span(self) -> Optional[SpanRecord]:
         """The innermost open span of the calling thread, if any."""
-        stack = getattr(self._local, "stack", None)
+        stack = self._local.stack
         return stack[-1] if stack else None
 
     # ------------------------------------------------------------------
@@ -197,10 +240,7 @@ class Tracer:
     def _open(
         self, name: str, category: str, args: Dict[str, Any]
     ) -> SpanRecord:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
+        stack = self._local.stack
         parent = stack[-1] if stack else None
         parent_id = parent.span_id if parent is not None else None
         context = current_context()
@@ -217,22 +257,22 @@ class Tracer:
                 parent is None or parent.trace_id != trace_id
             ):
                 parent_id = context.parent_span_id
-        now = time.perf_counter()
+        start = time.perf_counter() - self._epoch
         record = SpanRecord(
-            name=name,
-            category=category,
-            start=now - self._epoch,
-            duration=0.0,
-            tid=threading.get_ident(),
-            span_id=next(self._ids),
-            parent_id=parent_id,
-            depth=len(stack),
-            enter_seq=next(self._seq),
-            exit_seq=0,
-            wall_start=self._wall_epoch + (now - self._epoch),
-            args=dict(args) if args else {},
-            trace_id=trace_id,
-            request_id=request_id,
+            name,
+            category,
+            start,
+            0.0,
+            threading.get_ident(),
+            next(self._ids),
+            parent_id,
+            len(stack),
+            next(self._seq),
+            0,
+            self._wall_epoch + start,
+            dict(args) if args else {},
+            trace_id,
+            request_id,
         )
         stack.append(record)
         return record
@@ -247,7 +287,7 @@ class Tracer:
             now - self._epoch - record.start, 1e-9
         )
         record.exit_seq = next(self._seq)
-        stack = getattr(self._local, "stack", None)
+        stack = self._local.stack
         if stack and stack[-1] is record:
             stack.pop()
         elif stack and record in stack:  # unbalanced exit — be forgiving
@@ -320,20 +360,20 @@ class Tracer:
         """
         enter = next(self._seq)
         record = SpanRecord(
-            name=name,
-            category=category,
-            start=wall_start - self._wall_epoch,
-            duration=max(duration, 1e-9),
-            tid=threading.get_ident(),
-            span_id=span_id if span_id is not None else next(self._ids),
-            parent_id=parent_id,
-            depth=depth,
-            enter_seq=enter,
-            exit_seq=next(self._seq),
-            wall_start=wall_start,
-            args=dict(args) if args else {},
-            trace_id=trace_id,
-            request_id=request_id,
+            name,
+            category,
+            wall_start - self._wall_epoch,
+            max(duration, 1e-9),
+            threading.get_ident(),
+            span_id if span_id is not None else next(self._ids),
+            parent_id,
+            depth,
+            enter,
+            next(self._seq),
+            wall_start,
+            dict(args) if args else {},
+            trace_id,
+            request_id,
         )
         with self._lock:
             self._append_locked(record)
@@ -354,20 +394,20 @@ class Tracer:
             for row in rows:
                 enter = next(self._seq)
                 record = SpanRecord(
-                    name=row["name"],
-                    category=row.get("category", ""),
-                    start=row["wall_start"] - self._wall_epoch,
-                    duration=row["duration"],
-                    tid=row.get("tid", 0),
-                    span_id=row["span_id"],
-                    parent_id=row.get("parent_id"),
-                    depth=row.get("depth", 0),
-                    enter_seq=enter,
-                    exit_seq=next(self._seq),
-                    wall_start=row["wall_start"],
-                    args=dict(row.get("args", {})),
-                    trace_id=row.get("trace_id"),
-                    request_id=row.get("request_id"),
+                    row["name"],
+                    row.get("category", ""),
+                    row["wall_start"] - self._wall_epoch,
+                    row["duration"],
+                    row.get("tid", 0),
+                    row["span_id"],
+                    row.get("parent_id"),
+                    row.get("depth", 0),
+                    enter,
+                    next(self._seq),
+                    row["wall_start"],
+                    dict(row.get("args", {})),
+                    row.get("trace_id"),
+                    row.get("request_id"),
                 )
                 self._append_locked(record)
                 absorbed += 1

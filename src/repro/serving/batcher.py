@@ -1,40 +1,45 @@
-"""Size/age-triggered micro-batching for the serving front-end.
+"""Work-conserving micro-batching for the serving front-end.
 
 Incoming requests are cheapest to disambiguate in small batches — the
 batch layer amortizes pipeline fan-out and the shared relatedness cache
-across documents — but a latency SLO forbids waiting for a full batch.
-:class:`MicroBatcher` implements the classic compromise: a batch is
-flushed as soon as it reaches ``max_batch`` documents (*size* trigger)
-or as soon as its oldest member has waited ``window_ms`` (*age*
-trigger).  On shutdown every queued item is flushed (*close* trigger) —
-no document is ever dropped.
+across documents — but a request must never wait on an idle executor.
+:class:`MicroBatcher` therefore flushes as soon as the flusher is free:
+it takes the first queued item plus everything already queued behind
+it, up to ``max_batch``, and flushes at once with no timer.  Batches are
+single-flight — the flusher awaits each flush before assembling the next
+one — so items that arrive during a flush leave together as the next
+batch, and batches grow with load on their own.
+
+Flush reasons: *size* (the cap was hit and items are still queued),
+*drain* (the flusher took every waiting item) and *close* (shutdown).
+On shutdown every queued item is flushed — no document is ever dropped.
 
 The batcher is a pure asyncio component: ``put`` is awaited from the
 event loop, and the flush callback is an async callable that receives
-the batch list.  Batches are single-flight — the flusher awaits each
-flush before assembling the next one, so the admission queue (not an
-internal buffer) is the only place requests wait.
+the batch list.  The admission queue (not an internal buffer) is the
+only place requests wait.
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
-from typing import Awaitable, Callable, List, Sequence
+from typing import Awaitable, Callable, List
 
 from repro.errors import ReproError
 from repro.obs import get_metrics, log_event
 
 _LOG = logging.getLogger("repro.serving")
 
-#: Queue sentinel that wakes the flusher for shutdown.
+#: Queue sentinel that wakes the flusher for shutdown; always the last
+#: item, because ``put`` refuses once ``close`` has queued it.
 _CLOSE = object()
 
 #: Batch-size histogram buckets (documents per flush).
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
-#: Flush reason labels, in the order they are tried.
-FLUSH_REASONS = ("size", "age", "close")
+#: Flush reason labels.
+FLUSH_REASONS = ("size", "drain", "close")
 
 FlushFn = Callable[[List[object]], Awaitable[None]]
 
@@ -44,7 +49,7 @@ class BatcherClosed(ReproError):
 
 
 class MicroBatcher:
-    """Group queued items into size- or age-triggered batches.
+    """Group queued items into batches whenever the flusher is free.
 
     ``flush`` is awaited once per batch with the items in arrival (FIFO)
     order; a failing flush is logged and must not kill the flusher, so
@@ -52,23 +57,15 @@ class MicroBatcher:
     per-request futures) must catch inside their own callback.
     """
 
-    def __init__(
-        self,
-        flush: FlushFn,
-        max_batch: int = 16,
-        window_ms: float = 25.0,
-    ):
+    def __init__(self, flush: FlushFn, max_batch: int = 16):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if window_ms < 0:
-            raise ValueError("window_ms must be >= 0")
         self._flush = flush
         self.max_batch = max_batch
-        self.window_ms = window_ms
         self._queue: asyncio.Queue = asyncio.Queue()
         self._task: "asyncio.Task[None]" = None  # type: ignore[assignment]
         self._closed = False
-        #: Flushes per trigger reason (size / age / close).
+        #: Flushes per reason (size / drain / close).
         self.flush_counts = {reason: 0 for reason in FLUSH_REASONS}
         #: Total items flushed — equals items put once drained.
         self.items_flushed = 0
@@ -92,12 +89,9 @@ class MicroBatcher:
         is flushed — the lossless-shutdown guarantee the serving tests
         pin down.
         """
-        if self._closed:
-            if self._task is not None:
-                await self._task
-            return
-        self._closed = True
-        await self._queue.put(_CLOSE)
+        if not self._closed:
+            self._closed = True
+            self._queue.put_nowait(_CLOSE)
         if self._task is not None:
             await self._task
 
@@ -105,7 +99,7 @@ class MicroBatcher:
         """Enqueue one item for the next batch."""
         if self._closed:
             raise BatcherClosed("micro-batcher is closed")
-        await self._queue.put(item)
+        self._queue.put_nowait(item)
 
     @property
     def pending(self) -> int:
@@ -116,52 +110,25 @@ class MicroBatcher:
     # The flusher
     # ------------------------------------------------------------------
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
-        closing = False
-        while not closing:
+        item = None
+        while item is not _CLOSE:
             item = await self._queue.get()
-            if item is _CLOSE:
-                break
-            batch: List[object] = [item]
-            deadline = loop.time() + self.window_ms / 1000.0
-            reason = "age"
-            while len(batch) < self.max_batch:
-                timeout = deadline - loop.time()
-                if timeout <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(
-                        self._queue.get(), timeout
-                    )
-                except asyncio.TimeoutError:
-                    break
-                if item is _CLOSE:
-                    closing = True
-                    break
+            batch: List[object] = []
+            # Take what is already queued, without yielding to the loop.
+            while item is not _CLOSE:
                 batch.append(item)
-            if len(batch) >= self.max_batch:
-                reason = "size"
-            if closing:
-                reason = "close"
-            await self._safe_flush(batch, reason)
-        # Anything still queued arrived before the close sentinel (put
-        # refuses afterwards); drain it in max_batch chunks.
-        leftovers: List[object] = []
-        while True:
-            try:
+                if len(batch) == self.max_batch or self._queue.empty():
+                    break
                 item = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if item is not _CLOSE:
-                leftovers.append(item)
-        for start in range(0, len(leftovers), self.max_batch):
-            await self._safe_flush(
-                leftovers[start : start + self.max_batch], "close"
-            )
+            if batch:
+                await self._safe_flush(batch, self._reason())
 
-    async def _safe_flush(
-        self, batch: Sequence[object], reason: str
-    ) -> None:
+    def _reason(self) -> str:
+        if self._closed:
+            return "close"
+        return "size" if not self._queue.empty() else "drain"
+
+    async def _safe_flush(self, batch: List[object], reason: str) -> None:
         self.flush_counts[reason] += 1
         self.items_flushed += len(batch)
         metrics = get_metrics()
@@ -172,7 +139,7 @@ class MicroBatcher:
                 "serving.batch.size", buckets=BATCH_SIZE_BUCKETS
             ).observe(float(len(batch)))
         try:
-            await self._flush(list(batch))
+            await self._flush(batch)
         except Exception as exc:  # flusher must survive a bad batch
             _LOG.error(
                 "micro-batch flush failed: %s: %s",

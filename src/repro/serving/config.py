@@ -2,7 +2,7 @@
 
 One frozen dataclass holds every serving knob: the listen address, the
 admission-queue bound, the latency SLO that drives load shedding, the
-micro-batch geometry, the worker fan-out of the batch executor, and the
+micro-batch size cap, the worker fan-out of the batch executor, and the
 trace and SLO settings.  The CLI ``serve`` command maps its flags onto
 this config one-to-one.  What has no flag is a constant of the class it
 belongs to: the shed thresholds are :class:`~repro.serving.ShedPolicy`'s,
@@ -46,9 +46,8 @@ class ServingConfig:
     max_queue: int = 64
     #: p99 latency objective in milliseconds.
     slo_ms: float = 1000.0
-    #: Micro-batch flush triggers: size cap and age window.
+    #: Most documents one micro-batch takes from the queue.
     batch_max_docs: int = 16
-    batch_window_ms: float = 25.0
     #: Worker threads of the per-batch :class:`~repro.core.batch.BatchRunner`.
     workers: int = 4
     executor: str = "thread"
@@ -72,8 +71,6 @@ class ServingConfig:
             raise ConfigurationError("slo_ms must be > 0")
         if self.batch_max_docs < 1:
             raise ConfigurationError("batch_max_docs must be >= 1")
-        if self.batch_window_ms < 0:
-            raise ConfigurationError("batch_window_ms must be >= 0")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
         if self.executor not in SERVING_EXECUTORS:

@@ -7,9 +7,10 @@ stdin-JSONL pump — and funnels both through one submit path:
 1. **admission** (:mod:`repro.serving.admission`): a bounded slot count;
    under load the request is granted a degraded starting rung, at the
    bound it is rejected (HTTP 429);
-2. **micro-batching** (:mod:`repro.serving.batcher`): size/age-triggered
-   batches keep the amortization of the batch layer without blowing the
-   latency SLO;
+2. **micro-batching** (:mod:`repro.serving.batcher`): whenever the
+   executor is free, everything queued (up to ``batch_max_docs``) leaves
+   as one batch, so batches grow with load and no request waits on an
+   idle executor;
 3. **execution**: each batch runs through a
    :class:`~repro.core.batch.BatchRunner` on a dedicated thread, every
    document routed into the wrapped
@@ -326,9 +327,7 @@ class DisambiguationServer:
         if self._pool_runner is not None:
             self._pool_runner.open()
         self._batcher = MicroBatcher(
-            self._flush,
-            max_batch=self.config.batch_max_docs,
-            window_ms=self.config.batch_window_ms,
+            self._flush, max_batch=self.config.batch_max_docs
         )
         self._batcher.start()
         if listen:
@@ -734,6 +733,15 @@ class DisambiguationServer:
             value = lengths.pop()
             if not _DIGITS.fullmatch(value):
                 raise _RequestRejected(400, "malformed Content-Length")
+            # int() refuses strings of more than 4300 digits, so a value
+            # too long to be within the limit is refused by its length.
+            value = value.lstrip("0") or "0"
+            if len(value) > len(str(MAX_BODY_BYTES)):
+                raise _RequestRejected(
+                    413,
+                    f"a {len(value)}-digit Content-Length exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit",
+                )
             content_length = int(value)
         if content_length > MAX_BODY_BYTES:
             raise _RequestRejected(

@@ -103,7 +103,6 @@ def test_serving_process_pool_degrades_every_answer(world):
             executor="process",
             workers=2,
             batch_max_docs=4,
-            batch_window_ms=5.0,
             slo_ms=60_000.0,
         ),
         robustness=RobustnessConfig(degrade=True),

@@ -12,6 +12,7 @@ from repro.faults.deadline import (
     check_budget,
     current_budget,
 )
+from repro.faults.resilient import RobustnessConfig, make_resilient
 from repro.graph.dense_subgraph import GreedyDenseSubgraph
 from repro.graph.synthetic import SyntheticGraphSpec, synthetic_graph
 from repro.obs import MetricsRegistry, set_metrics
@@ -137,3 +138,41 @@ class TestCooperativeChecks:
         assert [a.entity for a in bare.assignments] == [
             a.entity for a in budgeted.assignments
         ]
+
+
+class BudgetHog(AidaDisambiguator):
+    """Exhausts whatever budget its attempt runs under, so every
+    budgeted rung blows its deadline at the first stage boundary."""
+
+    def disambiguate(self, document, **kwargs):
+        budget = current_budget()
+        if budget is not None:
+            budget.charge_ms(budget.deadline_ms + 1.0)
+        return super().disambiguate(document, **kwargs)
+
+
+class TestFloorRung:
+    """A degrading ladder's last rung runs without a deadline."""
+
+    def test_exhausted_budgets_end_at_prior_only(self, kb, sample_docs):
+        robust = make_resilient(
+            BudgetHog(kb),
+            RobustnessConfig(degrade=True, deadline_ms=1000.0),
+        )
+        result = robust.disambiguate(sample_docs[0].document)
+        assert (result.degradation_rung, result.attempts) == (
+            "prior_only",
+            3,
+        )
+        assert result.assignments
+
+    def test_without_degradation_the_deadline_still_fails(
+        self, kb, sample_docs
+    ):
+        robust = make_resilient(
+            BudgetHog(kb),
+            RobustnessConfig(degrade=False, deadline_ms=1000.0),
+        )
+        with pytest.raises(DeadlineExceeded) as exc_info:
+            robust.disambiguate(sample_docs[0].document)
+        assert exc_info.value.robust_attempts == 1

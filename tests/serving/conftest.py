@@ -35,14 +35,12 @@ def make_server(
     robustness: Optional[RobustnessConfig] = None,
     **overrides,
 ) -> DisambiguationServer:
-    """A server with test-friendly defaults (ephemeral port, tiny window).
+    """A server with test-friendly defaults (ephemeral port, small batches).
 
     The default robustness enables degradation but arms no deadline, so
     differential assertions cannot be perturbed by slow CI machines.
     """
-    defaults = dict(
-        port=0, batch_window_ms=5.0, batch_max_docs=4, workers=2
-    )
+    defaults = dict(port=0, batch_max_docs=4, workers=2)
     defaults.update(overrides)
     if robustness is None:
         robustness = RobustnessConfig(degrade=True)

@@ -1,7 +1,9 @@
-"""Micro-batcher unit tests: size trigger, age trigger, lossless close.
+"""Micro-batcher unit tests: work-conserving flushes, FIFO, lossless close.
 
 The batcher is pure asyncio, so every test drives a real event loop with
-a recording flush callback — no server, no pipeline.
+a recording flush callback — no server, no pipeline.  No outcome here is
+decided by a wall-clock sleep: a flush in flight is held open by an
+``asyncio.Event``, and "soon" means a bounded number of loop iterations.
 """
 
 from __future__ import annotations
@@ -15,16 +17,26 @@ from repro.serving.batcher import BatcherClosed, MicroBatcher
 
 
 class RecordingFlush:
-    """Captures every flushed batch; optionally slow or failing."""
+    """Captures every flushed batch; optionally gated or failing.
 
-    def __init__(self, delay: float = 0.0, fail_batches: int = 0):
+    With ``gated`` set, the first flush waits for :meth:`release` — the
+    executor is busy, so later puts queue up behind it.
+    """
+
+    def __init__(self, fail_batches: int = 0, gated: bool = False):
         self.batches: List[List[object]] = []
-        self.delay = delay
         self.fail_batches = fail_batches
+        self.in_flight = asyncio.Event()
+        self._gate = asyncio.Event()
+        if not gated:
+            self._gate.set()
+
+    def release(self) -> None:
+        self._gate.set()
 
     async def __call__(self, batch):
-        if self.delay:
-            await asyncio.sleep(self.delay)
+        self.in_flight.set()
+        await self._gate.wait()
         if self.fail_batches > 0:
             self.fail_batches -= 1
             raise RuntimeError("injected flush failure")
@@ -39,53 +51,118 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def test_flush_on_size_does_not_wait_for_window():
-    """A full batch flushes immediately despite a huge age window."""
+async def _within(awaitable, seconds: float = 5.0):
+    """Await with a timeout, so a lost wake-up fails instead of hanging."""
+    return await asyncio.wait_for(awaitable, seconds)
+
+
+async def _ticks(predicate, limit: int = 5) -> int:
+    """Loop iterations until *predicate* holds; fails after *limit*."""
+    for tick in range(limit + 1):
+        if predicate():
+            return tick
+        await asyncio.sleep(0)
+    raise AssertionError(f"not reached within {limit} loop iterations")
+
+
+def test_lone_item_flushes_within_a_few_loop_iterations():
+    """No timer: one item leaves as soon as the flusher runs."""
 
     async def main():
         flush = RecordingFlush()
-        batcher = MicroBatcher(flush, max_batch=3, window_ms=60_000.0)
-        batcher.start()
-        for item in range(3):
-            await batcher.put(item)
-        # One cooperative tick is enough: no timer must be involved.
-        await asyncio.wait_for(_until(lambda: flush.batches), timeout=1.0)
-        assert flush.batches == [[0, 1, 2]]
-        assert batcher.flush_counts["size"] == 1
-        assert batcher.flush_counts["age"] == 0
-        await batcher.close()
-
-    run(main())
-
-
-def test_flush_on_age_with_partial_batch():
-    """A lone item flushes once its window expires."""
-
-    async def main():
-        flush = RecordingFlush()
-        batcher = MicroBatcher(flush, max_batch=64, window_ms=10.0)
+        batcher = MicroBatcher(flush, max_batch=64)
         batcher.start()
         await batcher.put("only")
-        await asyncio.wait_for(_until(lambda: flush.batches), timeout=1.0)
+        await _ticks(lambda: flush.batches)
         assert flush.batches == [["only"]]
-        assert batcher.flush_counts["age"] == 1
+        assert batcher.flush_counts == {"size": 0, "drain": 1, "close": 0}
         await batcher.close()
 
     run(main())
 
 
-def test_zero_window_flushes_each_item_alone():
-    """``window_ms=0`` disables batching: every item is its own batch."""
+def test_items_put_during_a_flush_leave_together_next():
+    """Flushes are single-flight: what queues behind a busy flush is
+    the next batch, whole."""
+
+    async def main():
+        flush = RecordingFlush(gated=True)
+        batcher = MicroBatcher(flush, max_batch=8)
+        batcher.start()
+        await batcher.put("a")
+        await _within(flush.in_flight.wait())
+        for item in ("b", "c", "d"):
+            await batcher.put(item)
+        assert batcher.pending == 3
+        flush.release()
+        await _ticks(lambda: len(flush.batches) == 2)
+        assert flush.batches == [["a"], ["b", "c", "d"]]
+        assert batcher.flush_counts == {"size": 0, "drain": 2, "close": 0}
+        await batcher.close()
+
+    run(main())
+
+
+def test_backlog_leaves_in_fifo_chunks_of_max_batch():
+    """Eleven items queued in one tick leave as 4 + 4 + 3, in order."""
 
     async def main():
         flush = RecordingFlush()
-        batcher = MicroBatcher(flush, max_batch=8, window_ms=0.0)
+        batcher = MicroBatcher(flush, max_batch=4)
         batcher.start()
-        for item in range(4):
+        for item in range(11):
             await batcher.put(item)
+        await _ticks(lambda: len(flush.batches) == 3)
+        assert flush.batches == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10]]
+        assert batcher.flush_counts == {"size": 2, "drain": 1, "close": 0}
+        assert batcher.pending == 0
         await batcher.close()
-        assert flush.items == [0, 1, 2, 3]
-        assert all(len(batch) == 1 for batch in flush.batches)
+
+    run(main())
+
+
+def test_fifo_order_is_preserved_across_batches():
+    """Concatenated flushes equal the put order (FIFO within and across
+    batches — the admission queue's ordering guarantee), however puts
+    and flushes interleave."""
+
+    async def main():
+        flush = RecordingFlush()
+        batcher = MicroBatcher(flush, max_batch=3)
+        batcher.start()
+        for item in range(20):
+            await batcher.put(item)
+            for _ in range(item % 3):
+                await asyncio.sleep(0)
+        await batcher.close()
+        assert flush.items == list(range(20))
+        assert all(len(batch) <= 3 for batch in flush.batches)
+
+    run(main())
+
+
+def test_close_flushes_every_accepted_item():
+    """Items still queued behind a busy flush at close() all leave, in
+    max_batch chunks, as close flushes."""
+
+    async def main():
+        flush = RecordingFlush(gated=True)
+        batcher = MicroBatcher(flush, max_batch=4)
+        batcher.start()
+        await batcher.put(0)
+        await _within(flush.in_flight.wait())
+        for item in range(1, 11):
+            await batcher.put(item)
+        closing = asyncio.ensure_future(batcher.close())
+        await asyncio.sleep(0)
+        with pytest.raises(BatcherClosed):
+            await batcher.put("late")
+        flush.release()
+        await _within(closing)
+        assert flush.items == list(range(11))
+        assert batcher.items_flushed == 11
+        assert [len(batch) for batch in flush.batches] == [1, 4, 4, 2]
+        assert batcher.flush_counts == {"size": 0, "drain": 1, "close": 3}
 
     run(main())
 
@@ -95,34 +172,14 @@ def test_no_item_lost_on_immediate_close():
 
     async def main():
         flush = RecordingFlush()
-        batcher = MicroBatcher(flush, max_batch=4, window_ms=60_000.0)
+        batcher = MicroBatcher(flush, max_batch=4)
         batcher.start()
         for item in range(11):
             await batcher.put(item)
         await batcher.close()
         assert flush.items == list(range(11))
         assert batcher.items_flushed == 11
-        # Closing flushed whatever had not already left via the size
-        # trigger, in max_batch chunks.
         assert all(len(batch) <= 4 for batch in flush.batches)
-
-    run(main())
-
-
-def test_fifo_order_is_preserved_across_batches():
-    """Concatenated flushes equal the put order (FIFO within and across
-    batches — the admission queue's ordering guarantee)."""
-
-    async def main():
-        flush = RecordingFlush()
-        batcher = MicroBatcher(flush, max_batch=3, window_ms=5.0)
-        batcher.start()
-        for item in range(10):
-            await batcher.put(item)
-            if item % 4 == 3:
-                await asyncio.sleep(0.01)  # let age flushes interleave
-        await batcher.close()
-        assert flush.items == list(range(10))
 
     run(main())
 
@@ -130,7 +187,7 @@ def test_fifo_order_is_preserved_across_batches():
 def test_put_after_close_raises():
     async def main():
         flush = RecordingFlush()
-        batcher = MicroBatcher(flush, max_batch=4, window_ms=1.0)
+        batcher = MicroBatcher(flush, max_batch=4)
         batcher.start()
         await batcher.close()
         with pytest.raises(BatcherClosed):
@@ -142,7 +199,7 @@ def test_put_after_close_raises():
 def test_close_is_idempotent():
     async def main():
         flush = RecordingFlush()
-        batcher = MicroBatcher(flush, max_batch=4, window_ms=1.0)
+        batcher = MicroBatcher(flush, max_batch=4)
         batcher.start()
         await batcher.put("x")
         await batcher.close()
@@ -157,12 +214,13 @@ def test_failing_flush_does_not_kill_the_flusher():
 
     async def main():
         flush = RecordingFlush(fail_batches=1)
-        batcher = MicroBatcher(flush, max_batch=2, window_ms=5.0)
+        batcher = MicroBatcher(flush, max_batch=2)
         batcher.start()
         await batcher.put("lost-a")
         await batcher.put("lost-b")
-        await asyncio.sleep(0.02)
+        await _ticks(lambda: flush.fail_batches == 0)
         await batcher.put("kept")
+        await _ticks(lambda: flush.batches)
         await batcher.close()
         assert flush.items == ["kept"]
         assert batcher.items_flushed == 3
@@ -171,13 +229,8 @@ def test_failing_flush_does_not_kill_the_flusher():
 
 
 def test_invalid_geometry_rejected():
-    flush = RecordingFlush()
+    async def flush(batch):
+        pass
+
     with pytest.raises(ValueError):
         MicroBatcher(flush, max_batch=0)
-    with pytest.raises(ValueError):
-        MicroBatcher(flush, max_batch=1, window_ms=-1.0)
-
-
-async def _until(predicate, interval: float = 0.002):
-    while not predicate():
-        await asyncio.sleep(interval)

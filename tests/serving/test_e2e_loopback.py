@@ -13,8 +13,10 @@ import asyncio
 import pytest
 
 from repro.core.pipeline import AidaDisambiguator
+from repro.faults.resilient import RobustnessConfig
 from repro.serving.admission import SHED_LADDER
 
+from tests.faults.test_deadline import BudgetHog
 from tests.serving.conftest import (
     comparable,
     document_payload,
@@ -183,7 +185,6 @@ def test_overload_returns_429_with_retry_after(kb, sample_docs):
         kb=kb,
         max_queue=2,
         batch_max_docs=1,
-        batch_window_ms=0.0,
         workers=1,
         executor="serial",
     )
@@ -243,12 +244,12 @@ def test_jsonl_mode_preserves_input_order(serving_pipeline, kb, sample_docs):
 def test_shutdown_answers_all_inflight_requests(
     serving_pipeline, kb, sample_docs
 ):
-    """stop() drains the batcher: requests submitted before shutdown all
+    """stop() drains the batcher: requests still queued at shutdown all
     resolve, none hang or error."""
     documents = [annotated.document for annotated in sample_docs[:4]]
-    server = make_server(
-        serving_pipeline, kb=kb, batch_window_ms=60_000.0, batch_max_docs=64
-    )
+    # One document per batch: a flush needs an executor round trip, so
+    # at most one request can have left the queue when stop() runs.
+    server = make_server(serving_pipeline, kb=kb, batch_max_docs=1)
 
     async def main():
         await server.start(listen=False)
@@ -256,11 +257,40 @@ def test_shutdown_answers_all_inflight_requests(
             asyncio.ensure_future(server.submit(doc)) for doc in documents
         ]
         await asyncio.sleep(0)  # let submits enter the batcher
+        queued = server.batcher.pending
         await server.stop()
-        return await asyncio.gather(*tasks)
+        return queued, await asyncio.gather(*tasks)
 
-    responses = asyncio.run(main())
+    queued, responses = asyncio.run(main())
+    assert queued >= len(documents) - 1
     assert [r.result.doc_id for r in responses] == [
         doc.doc_id for doc in documents
     ]
     assert server.admission.depth == 0
+    assert server.batcher.flush_counts["close"] >= queued
+
+
+def test_prior_only_admission_with_exhausted_budget_answers_200(
+    kb, sample_docs
+):
+    """Latency pressure degrades a request but never rejects it: a
+    request shed to the floor rung runs without a deadline."""
+    document = sample_docs[0].document
+    server = make_server(
+        BudgetHog(kb),
+        kb=kb,
+        slo_ms=100.0,
+        robustness=RobustnessConfig(degrade=True, deadline_ms=100.0),
+    )
+
+    async def driver(server):
+        server.admission.latencies.observe(10.0)  # p99 100x the SLO
+        return await http_request(
+            server.port, "POST", "/disambiguate", document_payload(document)
+        )
+
+    status, body, _headers = drive(server, driver)
+    assert status == 200, body
+    assert body["admitted_rung"] == "prior_only"
+    assert (body["rung"], body["attempts"]) == ("prior_only", 1)
+    assert body["assignments"]

@@ -58,7 +58,6 @@ def _server(factory, executor: str) -> DisambiguationServer:
             executor=executor,
             workers=2,
             batch_max_docs=4,
-            batch_window_ms=20.0,
             slo_ms=60_000.0,
         ),
         robustness=RobustnessConfig(degrade=True),

@@ -116,7 +116,6 @@ class TestProcessPoolTraceTree:
             ServingConfig(
                 port=0,
                 slo_ms=60_000.0,
-                batch_window_ms=200.0,
                 batch_max_docs=4,
                 workers=2,
                 executor="process",
@@ -128,7 +127,12 @@ class TestProcessPoolTraceTree:
         )
 
         async def driver(server):
-            return await asyncio.gather(
+            # Hold the batch executor busy until every request is
+            # admitted, so those queued behind the first batch leave
+            # together as a multi-document pool batch.
+            busy = threading.Event()
+            server._executor.submit(busy.wait)
+            requests = asyncio.gather(
                 *(
                     http_request(
                         server.port,
@@ -139,6 +143,14 @@ class TestProcessPoolTraceTree:
                     for document in documents
                 )
             )
+            try:
+                for _ in range(30_000):  # polls; gives up after ~30 s
+                    if server.admission.depth >= len(documents):
+                        break
+                    await asyncio.sleep(0.001)
+            finally:
+                busy.set()
+            return await requests
 
         responses = drive(server, driver)
         trace_ids = set()
@@ -179,9 +191,8 @@ class TestProcessPoolTraceTree:
                 # Worker spans live in a pid-offset id space.
                 if span["span_id"] > 0xFFFFFFFF:
                     saw_worker_span = True
-        # The micro-batch window coalesced concurrent requests, so the
-        # process pool (not the serial fallback) ran at least once and
-        # shipped its spans across the pickle wall.
+        # Requests queued behind a busy executor left as one batch, and
+        # the process pool shipped its spans across the pickle wall.
         assert saw_pool_batch
         assert saw_worker_span
 
