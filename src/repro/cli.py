@@ -34,7 +34,6 @@ Examples::
     python -m repro serve --kb /tmp/kb --port 8400 --slo-ms 500
     python -m repro snapshot build --kb /tmp/kb --out /tmp/kb.snap
     python -m repro serve --snapshot /tmp/kb.snap --executor process
-    python -m repro embeddings train --kb /tmp/kb --out /tmp/emb.npz
     python -m repro evaluate --kb /tmp/kb --corpus /tmp/conll.jsonl \
         --prerank-topk 8
 
@@ -54,11 +53,7 @@ import signal
 import sys
 from typing import List, Optional, Sequence
 
-from repro.core.config import (
-    RELATEDNESS_BACKENDS,
-    SIMILARITY_BACKENDS,
-    AidaConfig,
-)
+from repro.core.config import RELATEDNESS_BACKENDS, AidaConfig
 from repro.errors import ConfigurationError
 from repro.core.spec import PipelineSpec
 from repro.datagen.wikipedia import build_world_kb
@@ -138,15 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
     rel.add_argument("--kb", required=True)
     rel.add_argument(
         "--measure", "--relatedness",
-        choices=(
-            "mw", "kore", "jaccard", "kore_lsh_g", "kore_lsh_f",
-            "embedding",
-        ),
+        choices=("mw", "kore", "jaccard", "kore_lsh_g", "kore_lsh_f"),
         default="kore",
         help="relatedness measure; the kore_lsh_* variants run the "
         "two-stage LSH over the listed entities and prune non-colliding "
-        "pairs to 0; 'embedding' trains (or reuses) the joint embedding "
-        "space and scores pairs by entity-vector cosine",
+        "pairs to 0",
     )
     rel.add_argument(
         "entities", nargs="+", help="two or more entity ids (all pairs)"
@@ -311,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=False,
         help="train the joint word/entity embedding space and embed its "
-        "matrices as snapshot sections, so pre-ranking and embedding "
-        "backends need no per-worker training at load time",
+        "matrices as snapshot sections, so pre-ranking needs no "
+        "per-worker training at load time",
     )
     snap_build.add_argument(
         "--embedding-dim", type=int, default=48, metavar="D",
@@ -329,36 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         "layout as JSON",
     )
     snap_inspect.add_argument("path", help="snapshot file")
-
-    emb = subparsers.add_parser(
-        "embeddings",
-        help="train or inspect the joint word/entity embedding model "
-        "behind the dense pre-ranker and the embedding backends",
-    )
-    emb_sub = emb.add_subparsers(dest="embeddings_command", required=True)
-    emb_train = emb_sub.add_parser(
-        "train",
-        help="train skip-gram-with-negative-sampling embeddings over a "
-        "saved KB's keyphrases, names and link neighborhoods "
-        "(deterministic: same KB + seed -> byte-identical matrices)",
-    )
-    emb_train.add_argument("--kb", required=True, help="saved KB directory")
-    emb_train.add_argument(
-        "--out", required=True, help="output model file (.npz)"
-    )
-    emb_train.add_argument("--dim", type=int, default=48)
-    emb_train.add_argument("--window", type=int, default=4)
-    emb_train.add_argument("--negatives", type=int, default=5)
-    emb_train.add_argument("--epochs", type=int, default=3)
-    emb_train.add_argument("--learning-rate", type=float, default=0.05)
-    emb_train.add_argument("--batch-size", type=int, default=2048)
-    emb_train.add_argument("--seed", type=int, default=13)
-    emb_inspect = emb_sub.add_parser(
-        "inspect",
-        help="print a trained model's shape, matrix fingerprints and "
-        "training provenance as JSON",
-    )
-    emb_inspect.add_argument("path", help="model file (.npz)")
 
     obs = subparsers.add_parser(
         "obs",
@@ -392,13 +353,12 @@ def _add_relatedness_argument(sub: argparse.ArgumentParser) -> None:
         help="entity-entity coherence backend: Milne-Witten inlink "
         "overlap (default), exact KORE, KORE behind two-stage "
         "min-hash/LSH pruning in the recall-geared (kore_lsh_g) or "
-        "speed-geared (kore_lsh_f) parameterization, or entity-vector "
-        "cosine in the joint embedding space (embedding)",
+        "speed-geared (kore_lsh_f) parameterization",
     )
 
 
 def _add_prerank_arguments(sub: argparse.ArgumentParser) -> None:
-    """The dense pre-ranker / similarity-backend flags."""
+    """The dense pre-ranker flag."""
     group = sub.add_argument_group("dense pre-ranking")
     group.add_argument(
         "--prerank-topk", type=int, default=None, metavar="K",
@@ -407,14 +367,6 @@ def _add_prerank_arguments(sub: argparse.ArgumentParser) -> None:
         "coherence (prior-top and pinned candidates always survive); "
         "omit to disable — the pipeline is then bit-identical to the "
         "unpruned path",
-    )
-    group.add_argument(
-        "--similarity-backend",
-        choices=SIMILARITY_BACKENDS,
-        default="keyphrase",
-        help="mention-entity similarity backend: keyphrase cover "
-        "matching (default) or context/entity cosine in the joint "
-        "embedding space",
     )
 
 
@@ -427,7 +379,6 @@ def _pipeline_spec(args: argparse.Namespace) -> PipelineSpec:
             dataclasses.replace(
                 AIDA_VARIANTS[args.variant](),
                 relatedness_backend=args.relatedness,
-                similarity_backend=args.similarity_backend,
                 prerank_topk=args.prerank_topk,
             ),
             kb_dir=args.kb,
@@ -603,10 +554,6 @@ def cmd_relatedness(args: argparse.Namespace) -> int:
         measure = MilneWittenRelatedness(kb.links, max(kb.entity_count, 2))
     elif args.measure == "jaccard":
         measure = InlinkJaccardRelatedness(kb.links)
-    elif args.measure == "embedding":
-        from repro.embeddings import EmbeddingRelatedness, shared_model
-
-        measure = EmbeddingRelatedness(shared_model(kb))
     else:
         from repro.compiled import CompiledKeyphrases
 
@@ -897,53 +844,6 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
     )
 
 
-def cmd_embeddings(args: argparse.Namespace) -> int:
-    """Handle ``embeddings``: train or inspect embedding models."""
-    from repro.embeddings import (
-        EmbeddingConfig,
-        EmbeddingModel,
-        train_embeddings,
-    )
-
-    if args.embeddings_command == "train":
-        try:
-            config = EmbeddingConfig(
-                dim=args.dim,
-                window=args.window,
-                negatives=args.negatives,
-                epochs=args.epochs,
-                learning_rate=args.learning_rate,
-                batch_size=args.batch_size,
-                seed=args.seed,
-            )
-        except ConfigurationError as exc:
-            raise SystemExit(f"error: {exc}")
-        kb = load_knowledge_base(args.kb)
-        model = train_embeddings(kb, config)
-        path = model.save(args.out)
-        print(
-            f"wrote {path}: d={model.dim}, {len(model.words)} words, "
-            f"{len(model.entity_ids)} entities, "
-            f"{model.meta.get('pairs', '?')} training pairs"
-        )
-        return 0
-    if args.embeddings_command == "inspect":
-        try:
-            model = EmbeddingModel.load(args.path)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        try:
-            print(json.dumps(model.describe(), indent=2))
-        except BrokenPipeError:
-            # Downstream consumer (e.g. ``| head``) closed the pipe.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
-    raise SystemExit(
-        f"unknown embeddings subcommand {args.embeddings_command!r}"
-    )
-
-
 def cmd_obs(args: argparse.Namespace) -> int:
     """Handle ``obs``: telemetry analysis subcommands."""
     from repro.obs.report import build_report, load_spans, render_report
@@ -976,7 +876,6 @@ _COMMANDS = {
     "evaluate": cmd_evaluate,
     "serve": cmd_serve,
     "snapshot": cmd_snapshot,
-    "embeddings": cmd_embeddings,
     "obs": cmd_obs,
 }
 

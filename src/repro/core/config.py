@@ -34,16 +34,10 @@ class PriorMode(enum.Enum):
 
 
 #: Selectable entity-entity coherence backends: Milne–Witten inlink
-#: overlap (the Chapter 3 default), exact KORE, KORE behind two-stage
+#: overlap (the Chapter 3 default), exact KORE, and KORE behind two-stage
 #: min-hash/LSH pre-clustering in the recall-geared (G) and speed-geared
-#: (F) parameterizations of Section 4.4.2, and cosine in the joint
-#: word/entity embedding space (:mod:`repro.embeddings`).
-RELATEDNESS_BACKENDS = ("mw", "kore", "kore_lsh_g", "kore_lsh_f", "embedding")
-
-#: Selectable mention-entity similarity backends: keyphrase cover
-#: matching (Eq. 3.4/3.6, compiled) or context/entity cosine
-#: in the embedding space — the sparse-keyphrase fallback regime.
-SIMILARITY_BACKENDS = ("keyphrase", "embedding")
+#: (F) parameterizations of Section 4.4.2.
+RELATEDNESS_BACKENDS = ("mw", "kore", "kore_lsh_g", "kore_lsh_f")
 
 
 @dataclass
@@ -85,11 +79,6 @@ class AidaConfig:
     #: precompute KB-wide entity sketches at pipeline construction and
     #: compute exact (compiled) KORE only on pairs surviving LSH banding.
     relatedness_backend: str = "mw"
-    #: Mention-entity similarity backend (one of
-    #: :data:`SIMILARITY_BACKENDS`).  ``embedding`` scores candidates by
-    #: context/entity cosine in the joint embedding space instead of
-    #: keyphrase cover matching.
-    similarity_backend: str = "keyphrase"
     #: Dense pre-ranker truncation K: after candidate retrieval, each
     #: mention's pool is cut to its top-K candidates by embedding cosine
     #: (prior-top and pinned/extra candidates always survive) before the
@@ -124,12 +113,6 @@ class AidaConfig:
                 f"{', '.join(RELATEDNESS_BACKENDS)} "
                 f"(got {self.relatedness_backend!r})"
             )
-        if self.similarity_backend not in SIMILARITY_BACKENDS:
-            raise ConfigurationError(
-                f"similarity_backend must be one of "
-                f"{', '.join(SIMILARITY_BACKENDS)} "
-                f"(got {self.similarity_backend!r})"
-            )
         if self.prerank_topk is not None and self.prerank_topk < 1:
             raise ConfigurationError(
                 "prerank_topk must be >= 1 (or None to disable)"
@@ -137,12 +120,9 @@ class AidaConfig:
 
     @property
     def needs_embeddings(self) -> bool:
-        """Whether any configured component requires a trained model."""
-        return (
-            self.prerank_topk is not None
-            or self.similarity_backend == "embedding"
-            or self.relatedness_backend == "embedding"
-        )
+        """Whether the pipeline needs a trained model: only the dense
+        pre-ranker uses one."""
+        return self.prerank_topk is not None
 
     # ------------------------------------------------------------------
     # Named configurations of Table 3.2

@@ -93,11 +93,11 @@ class AidaDisambiguator:
             if weight_model is not None
             else WeightModel(self.store, kb.links)
         )
-        #: The joint word/entity embedding model, or None when no
-        #: configured component needs one.  An explicitly passed model
-        #: (snapshot sections, CLI artifacts) wins; otherwise one is
-        #: trained deterministically from the KB and shared across
-        #: pipelines over the same KB object.
+        #: The joint word/entity embedding model of the dense pre-ranker,
+        #: or None when ``prerank_topk`` is unset.  An explicitly passed
+        #: model (snapshot sections) wins; otherwise one is trained
+        #: deterministically from the KB and shared across pipelines over
+        #: the same KB object.
         self.embeddings = embedding_model
         if self.embeddings is None and self.config.needs_embeddings:
             from repro.embeddings import shared_model
@@ -109,45 +109,29 @@ class AidaDisambiguator:
             relatedness
             if relatedness is not None
             else self.build_relatedness(
-                kb,
-                self.config,
-                store=self.store,
-                weights=self.weights,
-                embeddings=self.embeddings,
+                kb, self.config, store=self.store, weights=self.weights
             )
         )
         max_kp = self.config.max_keyphrases or None
-        #: The shared compiled keyphrase model, or None when no configured
-        #: component scores keyphrases.  An explicitly passed model (a
-        #: snapshot's, or a sibling rung's) wins; otherwise one is built
-        #: here, and a failure to build it fails construction.
+        #: The shared compiled keyphrase model.  An explicitly passed
+        #: model (a snapshot's, or a sibling rung's) wins; otherwise one
+        #: is built here, and a failure to build it fails construction.
         self.compiled = compiled_keyphrases
-        needs_compiled = (
-            self.config.similarity_backend == "keyphrase"
-            or self.config.relatedness_backend
-            in ("kore", "kore_lsh_g", "kore_lsh_f")
-        )
-        if self.compiled is None and needs_compiled:
+        if self.compiled is None:
             self.compiled = CompiledKeyphrases(
                 self.store,
                 self.weights,
                 scheme=self.config.keyword_weight_scheme,
                 max_keyphrases=max_kp,
             )
-        if self.config.similarity_backend == "embedding":
-            from repro.embeddings import EmbeddingSimilarity
-
-            self.similarity = EmbeddingSimilarity(self.embeddings)
-        else:
-            self.similarity = KeyphraseSimilarity(
-                self.store,
-                self.weights,
-                weight_scheme=self.config.keyword_weight_scheme,
-                max_keyphrases=max_kp,
-                compiled=self.compiled,
-            )
-        if self.compiled is not None:
-            self._attach_compiled_relatedness(self.compiled)
+        self.similarity = KeyphraseSimilarity(
+            self.store,
+            self.weights,
+            weight_scheme=self.config.keyword_weight_scheme,
+            max_keyphrases=max_kp,
+            compiled=self.compiled,
+        )
+        self._attach_compiled_relatedness(self.compiled)
         #: Dense candidate pre-ranker, or None when ``prerank_topk`` is
         #: unset (the stage is then skipped entirely — not entered with
         #: a no-op — so the unpruned pipeline's stage list and stats are
@@ -186,28 +170,19 @@ class AidaDisambiguator:
         store: Optional[KeyphraseStore] = None,
         weights: Optional[WeightModel] = None,
         sketches=None,
-        embeddings=None,
     ) -> EntityRelatedness:
         """The coherence measure ``config.relatedness_backend`` names.
 
         Shared by the pipeline constructor and
         :func:`repro.core.spec.assemble_pipeline`, which passes a
         precomputed *sketches* table so a build skips the KB-wide
-        stage-one pass.  For the ``embedding`` backend a passed *embeddings*
-        model wins; otherwise one is trained from the KB.
+        stage-one pass.
         """
         backend = config.relatedness_backend
         if backend == "mw":
             return MilneWittenRelatedness(
                 kb.links, max(kb.entity_count, 2)
             )
-        if backend == "embedding":
-            from repro.embeddings import EmbeddingRelatedness, shared_model
-
-            model = (
-                embeddings if embeddings is not None else shared_model(kb)
-            )
-            return EmbeddingRelatedness(model)
         from repro.relatedness.kore import KoreRelatedness
         from repro.relatedness.lsh import KoreLshRelatedness, lsh_geometry
 

@@ -131,7 +131,6 @@ def assemble_pipeline(
         store=keyphrase_store,
         weights=weight_model,
         sketches=sketches,
-        embeddings=embedding_model,
     )
     return AidaDisambiguator(
         kb,

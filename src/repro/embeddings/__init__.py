@@ -1,16 +1,13 @@
-"""Joint word/entity embeddings: training, pre-ranking, and measures.
+"""Joint word/entity embeddings: training and the dense pre-ranker.
 
-The embedding subsystem adds a dense third measure family to the
-pipeline (alongside keyphrase cover-matching and Milne–Witten) and — its
-main production role — the :class:`DensePreRanker` that truncates
-candidate pools by vectorized cosine before keyphrase scoring and
-coherence ever see them.
+The embedding space serves one production role: the
+:class:`DensePreRanker`, which truncates candidate pools by vectorized
+cosine before keyphrase scoring and coherence see them.  Mention-entity
+similarity and entity-entity relatedness are the paper's measures
+(keyphrase cover matching; Milne–Witten and KORE), never embedding
+cosines.
 """
 
-from repro.embeddings.measures import (
-    EmbeddingRelatedness,
-    EmbeddingSimilarity,
-)
 from repro.embeddings.model import EmbeddingModel
 from repro.embeddings.prerank import DensePreRanker
 from repro.embeddings.training import (
@@ -24,8 +21,6 @@ __all__ = [
     "DensePreRanker",
     "EmbeddingConfig",
     "EmbeddingModel",
-    "EmbeddingRelatedness",
-    "EmbeddingSimilarity",
     "build_corpus",
     "shared_model",
     "train_embeddings",

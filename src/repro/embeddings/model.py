@@ -2,19 +2,17 @@
 
 An :class:`EmbeddingModel` is two row-aligned float32 matrices — one row
 per vocabulary word, one per entity — L2-normalized so that a dot product
-is a cosine.  Everything downstream (the dense pre-ranker, the embedding
-similarity/relatedness measures, snapshot export) consumes this one
+is a cosine.  The dense pre-ranker and snapshot export consume this one
 object; training lives in :mod:`repro.embeddings.training`.
 
 The model is deliberately dumb: plain lists, plain dicts, two ndarrays.
-That keeps it picklable for process pools, serializable with ``np.savez``
-for the CLI, and zero-copy reconstructible from snapshot sections.
+That keeps it picklable for process pools and zero-copy reconstructible
+from snapshot sections.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -41,7 +39,7 @@ class EmbeddingModel:
         matrices with unit-L2 rows.
     meta:
         Provenance: the training config as a dict, corpus statistics —
-        carried through save/load and snapshot export verbatim.
+        carried through snapshot export verbatim.
     """
 
     def __init__(
@@ -74,28 +72,10 @@ class EmbeddingModel:
             eid: row for row, eid in enumerate(self.entity_ids)
         }
 
-    # ------------------------------------------------------------------
-    # Lookup
-    # ------------------------------------------------------------------
     @property
     def dim(self) -> int:
         """Embedding dimensionality d."""
         return int(self.word_vectors.shape[1])
-
-    def word_row(self, word: str) -> int:
-        """Matrix row of a word, or -1 when out of vocabulary."""
-        return self._word_index.get(word, -1)
-
-    def entity_row(self, entity_id: EntityId) -> int:
-        """Matrix row of an entity, or -1 when unknown."""
-        return self._entity_index.get(entity_id, -1)
-
-    def entity_vector(self, entity_id: EntityId) -> Optional[np.ndarray]:
-        """The entity's unit vector, or None when unknown."""
-        row = self._entity_index.get(entity_id)
-        if row is None:
-            return None
-        return self.entity_vectors[row]
 
     # ------------------------------------------------------------------
     # Scoring primitives
@@ -138,38 +118,8 @@ class EmbeddingModel:
         return scores
 
     # ------------------------------------------------------------------
-    # Persistence / identity
+    # Identity
     # ------------------------------------------------------------------
-    def save(self, path: str) -> str:
-        """Write the model as an ``.npz`` archive (CLI artifact format).
-
-        Returns the actual path written (``np.savez`` appends ``.npz``
-        when missing, so the caller must not assume its own spelling).
-        """
-        if not path.endswith(".npz"):
-            path += ".npz"
-        np.savez(
-            path,
-            words=np.array(self.words, dtype=object),
-            entity_ids=np.array(self.entity_ids, dtype=object),
-            word_vectors=self.word_vectors,
-            entity_vectors=self.entity_vectors,
-            meta=np.array(json.dumps(self.meta, sort_keys=True)),
-        )
-        return path
-
-    @classmethod
-    def load(cls, path: str) -> "EmbeddingModel":
-        """Read a model written by :meth:`save`."""
-        with np.load(path, allow_pickle=True) as data:
-            return cls(
-                words=[str(w) for w in data["words"]],
-                entity_ids=[str(e) for e in data["entity_ids"]],
-                word_vectors=data["word_vectors"],
-                entity_vectors=data["entity_vectors"],
-                meta=json.loads(str(data["meta"])),
-            )
-
     def fingerprint(self) -> Dict[str, str]:
         """sha256 of each matrix's bytes — the determinism check's unit."""
         return {
@@ -179,14 +129,4 @@ class EmbeddingModel:
             "entity_vectors": hashlib.sha256(
                 self.entity_vectors.tobytes()
             ).hexdigest(),
-        }
-
-    def describe(self) -> Dict:
-        """Summary for ``repro embeddings inspect``."""
-        return {
-            "dim": self.dim,
-            "words": len(self.words),
-            "entities": len(self.entity_ids),
-            "fingerprint": self.fingerprint(),
-            "meta": self.meta,
         }

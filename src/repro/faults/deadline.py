@@ -90,20 +90,24 @@ class Budget:
 # ----------------------------------------------------------------------
 # The thread-local budget stack
 # ----------------------------------------------------------------------
-_active = threading.local()
+class _BudgetStack(threading.local):
+    """Per-thread stack of armed budgets; every thread starts with its
+    own empty list, so reading it never fails an attribute lookup."""
+
+    def __init__(self) -> None:
+        self.stack: List[Budget] = []
+
+
+_active = _BudgetStack()
 
 
 def _stack() -> List[Budget]:
-    stack = getattr(_active, "stack", None)
-    if stack is None:
-        stack = []
-        _active.stack = stack
-    return stack
+    return _active.stack
 
 
 def current_budget() -> Optional[Budget]:
     """The innermost armed budget of this thread, if any."""
-    stack = getattr(_active, "stack", None)
+    stack = _active.stack
     return stack[-1] if stack else None
 
 
@@ -113,7 +117,7 @@ def check_budget(where: str) -> None:
     This is the single call instrumented code uses — one thread-local
     read on the fault-free path.
     """
-    stack = getattr(_active, "stack", None)
+    stack = _active.stack
     if stack:
         stack[-1].check(where)
 

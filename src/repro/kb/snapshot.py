@@ -187,8 +187,8 @@ def build_snapshot(
     which LSH sketch tables to embed (``"g"`` recall-geared, ``"f"``
     fast).  ``embeddings`` optionally embeds a trained
     :class:`~repro.embeddings.model.EmbeddingModel` as zero-copy
-    ``emb/*`` sections (the dense pre-ranker and embedding measures then
-    attach without training).  Returns the manifest.  The write is
+    ``emb/*`` sections (the dense pre-ranker then attaches without
+    training).  Returns the manifest.  The write is
     temp-file + rename: the destination is never left torn, even when
     the process crashes or a section write raises.
     """

@@ -109,7 +109,8 @@ class LshSettings:
 
         24 single-coordinate bands keep every coherence-relevant pair on
         the golden corpus while computing under a third of exact KORE's
-        comparisons (see ``benchmarks/bench_lsh.py``).
+        comparisons (221 of 693; ``TestGoldenCorpusFrontier`` in
+        ``tests/relatedness/test_lsh_pruning.py`` pins both).
         """
         return LshSettings(entity_bands=24, entity_rows=1, seed=seed)
 

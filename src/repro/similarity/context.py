@@ -46,12 +46,6 @@ class DocumentContext:
                 continue
             self._index.setdefault(norm, []).append(offset)
 
-    def masked(self, mention: Mention) -> "DocumentContext":
-        """The context of the same document without *mention*'s tokens
-        (the shape :meth:`repro.compiled.context.IndexedContext.masked`
-        gives an index)."""
-        return DocumentContext(self.document, exclude_mention=mention)
-
     def positions(self, word: str) -> List[int]:
         """Sorted token offsets of the normalized word."""
         return self._index.get(word, [])

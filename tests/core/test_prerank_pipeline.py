@@ -6,12 +6,7 @@ import pytest
 
 from repro.core.config import AidaConfig
 from repro.core.pipeline import AidaDisambiguator
-from repro.embeddings import (
-    EmbeddingConfig,
-    EmbeddingRelatedness,
-    EmbeddingSimilarity,
-    shared_model,
-)
+from repro.embeddings import EmbeddingConfig, shared_model
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, set_metrics
 
@@ -42,15 +37,10 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             AidaConfig(prerank_topk=0)
 
-    def test_similarity_backend_validated(self):
-        with pytest.raises(ConfigurationError):
-            AidaConfig(similarity_backend="cosine-ish")
-
     def test_needs_embeddings(self):
         assert not AidaConfig.full().needs_embeddings
         assert AidaConfig(prerank_topk=4).needs_embeddings
-        assert AidaConfig(similarity_backend="embedding").needs_embeddings
-        assert AidaConfig(relatedness_backend="embedding").needs_embeddings
+        assert AidaConfig(prerank_topk=1).needs_embeddings
 
 
 class TestStageAndCounters:
@@ -141,37 +131,6 @@ class TestExactness:
 
 
 class TestEmbeddingBackends:
-    def test_embedding_similarity_pipeline(self, kb, sample_docs, model):
-        pipeline = AidaDisambiguator(
-            kb,
-            config=_config(similarity_backend="embedding"),
-            embedding_model=model,
-        )
-        assert isinstance(pipeline.similarity, EmbeddingSimilarity)
-        result = pipeline.disambiguate(sample_docs[0].document)
-        assert result.assignments
-
-    def test_embedding_relatedness_pipeline(self, kb, sample_docs, model):
-        pipeline = AidaDisambiguator(
-            kb,
-            config=_config(relatedness_backend="embedding"),
-            embedding_model=model,
-        )
-        assert isinstance(pipeline.relatedness.inner, EmbeddingRelatedness)
-        result = pipeline.disambiguate(sample_docs[0].document)
-        assert result.assignments
-
-    def test_pure_embedding_config_skips_compiled_build(self, kb, model):
-        pipeline = AidaDisambiguator(
-            kb,
-            config=_config(
-                similarity_backend="embedding",
-                relatedness_backend="embedding",
-            ),
-            embedding_model=model,
-        )
-        assert pipeline.compiled is None
-
     def test_explicit_model_used_verbatim(self, kb, model):
         pipeline = AidaDisambiguator(
             kb, config=_config(prerank_topk=4), embedding_model=model
@@ -183,10 +142,3 @@ class TestEmbeddingBackends:
         first = AidaDisambiguator(kb, config=_config(prerank_topk=4))
         second = AidaDisambiguator(kb, config=_config(prerank_topk=2))
         assert first.embeddings is second.embeddings
-
-    def test_build_relatedness_embedding_backend(self, kb, model):
-        measure = AidaDisambiguator.build_relatedness(
-            kb, _config(relatedness_backend="embedding"), embeddings=model
-        )
-        assert isinstance(measure, EmbeddingRelatedness)
-        assert measure.model is model

@@ -1,4 +1,4 @@
-"""Embedding training: determinism, shapes, corpus, persistence."""
+"""Embedding training: determinism, shapes, corpus, sharing."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.embeddings import (
     EmbeddingConfig,
-    EmbeddingModel,
     build_corpus,
     shared_model,
     train_embeddings,
@@ -111,27 +110,6 @@ class TestConfigValidation:
     def test_bad_knob_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             EmbeddingConfig(**kwargs)
-
-
-class TestPersistence:
-    def test_save_load_roundtrip(self, model, tmp_path):
-        path = model.save(str(tmp_path / "model"))
-        assert path.endswith(".npz")
-        loaded = EmbeddingModel.load(path)
-        assert loaded.fingerprint() == model.fingerprint()
-        assert loaded.words == model.words
-        assert loaded.entity_ids == model.entity_ids
-        assert loaded.meta == model.meta
-
-    def test_describe_shape(self, model):
-        info = model.describe()
-        assert info["dim"] == 16
-        assert info["words"] == len(model.words)
-        assert info["entities"] == len(model.entity_ids)
-        assert set(info["fingerprint"]) == {
-            "word_vectors",
-            "entity_vectors",
-        }
 
 
 class TestSharedModel:

@@ -12,6 +12,7 @@ never popped.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -125,3 +126,57 @@ def test_fresh_budget_per_attempt_not_inherited():
     with budget_scope(second):
         check_budget("second")  # must not raise: its own 10 ms slice
         assert second.expired is False
+
+
+def _on_fresh_thread(fn):
+    """Run *fn* on a new thread and return its result (or raise its
+    exception here)."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except Exception as exc:  # re-raised on the caller's thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def test_fresh_thread_starts_with_an_empty_stack():
+    """A thread that never armed a budget (every batch worker) already
+    has its own empty stack, so a check reads it without an attribute
+    miss."""
+    from repro.faults import deadline
+
+    def probe():
+        stack = deadline._active.stack
+        check_budget("fresh")
+        return stack, current_budget()
+
+    stack, budget = _on_fresh_thread(probe)
+    assert stack == []
+    assert budget is None
+
+
+def test_budget_armed_on_one_thread_is_invisible_on_another():
+    clock = make_clock()
+    spent = Budget(10.0, clock=clock)
+    clock.advance(1.0)  # 1000 ms > 10 ms: any check against it raises
+    with budget_scope(spent):
+        assert _on_fresh_thread(current_budget) is None
+        _on_fresh_thread(lambda: check_budget("other-thread"))
+        assert current_budget() is spent
+
+    def arm_elsewhere():
+        with budget_scope(Budget(10.0, clock=clock)) as armed:
+            return current_budget() is armed
+
+    assert _on_fresh_thread(arm_elsewhere) is True
+    assert current_budget() is None
+    check_budget("main")

@@ -15,14 +15,22 @@ must preserve:
 * candidate pairs are canonical and filtered LSH values are
   exact-KORE-equal or exactly 0.0;
 * stage two keeps no per-task state, so one measure serves concurrent
-  documents.
+  documents;
+* on the golden corpus, KORE_LSH-G computes at most a third of exact
+  KORE's comparisons and KORE_LSH-F no more than G, both within one
+  accuracy point of exact, at the counts ``docs/performance.md`` prints.
 """
 
+import os
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import AidaConfig
+from repro.core.pipeline import AidaDisambiguator
+from repro.datagen.io import load_corpus
+from repro.eval.runner import run_disambiguator
 from repro.hashing.lsh import LshIndex
 from repro.hashing.minhash import MinHasher
 from repro.kb.keyphrases import KeyphraseStore
@@ -414,3 +422,96 @@ class TestThreadLocalTaskState:
         assert (
             lsh.pruned_pairs + lsh.survived_pairs == 2 * expected_universe
         )
+
+
+GOLDEN_CORPUS = os.path.join(
+    os.path.dirname(__file__), os.pardir, "fixtures", "golden", "corpus.jsonl"
+)
+
+#: Pair comparisons over the golden corpus with the memo reset per
+#: document (the quantity Table 4.4 counts), as docs/performance.md
+#: prints them; every backend reaches micro 95.65% and macro 97.21%.
+GOLDEN_COMPARISONS = {"kore": 693, "kore_lsh_g": 221, "kore_lsh_f": 139}
+
+
+class _PerDocumentComparisons:
+    """Pipeline shim that empties the memo before each document and
+    sums the comparisons each document computed."""
+
+    def __init__(self, pipeline):
+        self.pipeline = pipeline
+        self.comparisons = 0
+
+    def _flush(self):
+        memo = self.pipeline.relatedness
+        self.comparisons += memo.comparisons
+        memo.reset_stats()
+
+    def disambiguate(self, document, **kwargs):
+        self._flush()
+        return self.pipeline.disambiguate(document, **kwargs)
+
+    def total(self):
+        self._flush()
+        return self.comparisons
+
+
+@pytest.fixture(scope="module")
+def golden_corpus():
+    return load_corpus(GOLDEN_CORPUS)
+
+
+@pytest.fixture(scope="module")
+def frontier(kb, golden_corpus):
+    """backend -> (comparisons, micro, macro) over the golden corpus.
+
+    The session KB is the golden fixture's KB (same world and KB seeds).
+    """
+    rows = {}
+    for backend in GOLDEN_COMPARISONS:
+        config = AidaConfig.full()
+        config.relatedness_backend = backend
+        shim = _PerDocumentComparisons(AidaDisambiguator(kb, config=config))
+        run = run_disambiguator(shim, golden_corpus, kb=kb)
+        rows[backend] = (shim.total(), run.micro, run.macro)
+    return rows
+
+
+class TestGoldenCorpusFrontier:
+    def test_g_computes_at_most_a_third_of_exact(self, frontier):
+        assert frontier["kore_lsh_g"][0] <= frontier["kore"][0] / 3
+
+    def test_f_prunes_at_least_as_hard_as_g(self, frontier):
+        assert frontier["kore_lsh_f"][0] <= frontier["kore_lsh_g"][0]
+
+    @pytest.mark.parametrize("backend", ["kore_lsh_g", "kore_lsh_f"])
+    def test_accuracy_within_one_point_of_exact(self, frontier, backend):
+        assert abs(frontier[backend][1] - frontier["kore"][1]) <= 0.01
+
+    @pytest.mark.parametrize("backend", sorted(GOLDEN_COMPARISONS))
+    def test_published_counts_and_accuracy(self, frontier, backend):
+        comparisons, micro, macro = frontier[backend]
+        assert comparisons == GOLDEN_COMPARISONS[backend]
+        assert round(100 * micro, 2) == 95.65
+        assert round(100 * macro, 2) == 97.21
+
+    def test_single_count_on_a_golden_document(self, kb, golden_corpus):
+        """Each surviving pair is one wrapper comparison; the inner
+        exact measure is reached only through the wrapper and counts
+        nothing itself."""
+        config = AidaConfig.full()
+        config.relatedness_backend = "kore_lsh_g"
+        measure = AidaDisambiguator.build_relatedness(kb, config)
+        entities = sorted(
+            {
+                entity
+                for mention in golden_corpus[0].document.mentions
+                for entity in kb.candidates(mention.surface)
+            }
+        )
+        _edges, survivors = CachingRelatedness(measure).coherence_edges(
+            entities
+        )
+        assert len(survivors) > 0
+        assert measure.comparisons == len(survivors)
+        assert measure.inner.comparisons == 0

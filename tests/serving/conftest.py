@@ -33,6 +33,7 @@ def make_server(
     pipeline,
     kb=None,
     robustness: Optional[RobustnessConfig] = None,
+    pipeline_factory=None,
     **overrides,
 ) -> DisambiguationServer:
     """A server with test-friendly defaults (ephemeral port, small batches).
@@ -49,6 +50,7 @@ def make_server(
         ServingConfig(**defaults),
         kb=kb,
         robustness=robustness,
+        pipeline_factory=pipeline_factory,
     )
 
 

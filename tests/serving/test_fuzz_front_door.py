@@ -6,7 +6,9 @@ stdin-JSONL pump.
 valid requests, random ``Content-Length`` values, repeated headers and
 random bytes.  Whatever arrives, the parser either returns
 ``(method, path, body)`` or refuses with a classified status (400, 413,
-414 or 431) — never another exception.
+414 or 431) — never another exception.  A valid request fed in chunks
+split at random points, with a loop iteration between chunks, parses to
+the same triple as the request fed whole.
 
 ``run_jsonl`` is fed arbitrary lines mixed with real documents.  It must
 write one output line per non-blank input line, in input order, and
@@ -68,6 +70,28 @@ def parse(data: bytes):
     return asyncio.run(main())
 
 
+def parse_in_chunks(data: bytes, cuts: List[int]):
+    """The parser's outcome on *data* split at *cuts*, each chunk fed
+    after the parser has waited a loop iteration for more."""
+
+    async def main():
+        reader = asyncio.StreamReader()
+        parsing = asyncio.ensure_future(
+            DisambiguationServer._read_request(reader)
+        )
+        bounds = [0, *sorted(cuts), len(data)]
+        for start, end in zip(bounds, bounds[1:]):
+            reader.feed_data(data[start:end])
+            await asyncio.sleep(0)
+        reader.feed_eof()
+        try:
+            return await parsing
+        except _RequestRejected as exc:
+            return exc
+
+    return asyncio.run(main())
+
+
 def assert_allowed(outcome) -> None:
     if isinstance(outcome, _RequestRejected):
         assert outcome.status in PARSER_STATUSES, outcome
@@ -118,6 +142,25 @@ def test_well_formed_requests_round_trip(method, path, body, repeats):
     headers = [("Content-Length", str(len(body)))] * repeats
     outcome = parse(render(method, path, headers, body))
     assert outcome == (method, path, body)
+
+
+@FUZZ
+@given(
+    method=st.sampled_from(["GET", "POST"]),
+    path=_TOKEN.map(lambda token: "/" + token),
+    body=st.binary(max_size=300),
+    extra=st.lists(st.tuples(_TOKEN, _TOKEN), max_size=4),
+    data=st.data(),
+)
+def test_chunked_delivery_parses_like_whole(method, path, body, extra, data):
+    """A slow client's pieces, wherever they split the request line,
+    a header or the body, read back the request fed whole."""
+    headers = [("Content-Length", str(len(body)))] + extra
+    raw = render(method, path, headers, body)
+    cuts = data.draw(
+        st.lists(st.integers(min_value=0, max_value=len(raw)), max_size=12)
+    )
+    assert parse_in_chunks(raw, cuts) == parse(raw) == (method, path, body)
 
 
 @FUZZ

@@ -6,7 +6,9 @@ answer at once; a negative ``Content-Length`` or a body cut short of it
 answers 400; more than ``MAX_HEADER_LINES`` header lines, or one header
 line over the stream reader's 64 KiB line limit, answer 431; a request
 line over that limit answers 414; a client that has not sent its whole
-request within ``REQUEST_READ_TIMEOUT_S`` answers 408.  A
+request within ``REQUEST_READ_TIMEOUT_S`` answers 408, whether it stops
+mid request or trickles every piece in on time (slowloris pacing), and
+the same trickle inside the deadline is answered as usual.  A
 ``Content-Length`` that is not all digits, or that repeats with another
 value, answers 400 (RFC 9112 section 6.3), and so does a payload whose
 ``mentions`` is not a list of in-range spans, over HTTP and as a JSONL
@@ -29,7 +31,7 @@ from repro.serving.server import (
     REQUEST_READ_TIMEOUT_S,
 )
 
-from tests.serving.conftest import drive, make_server
+from tests.serving.conftest import document_payload, drive, make_server
 
 #: An answer that waits for the declared body would hit this instead.
 ANSWER_TIMEOUT_S = 5.0
@@ -292,3 +294,98 @@ def test_stalled_client_answers_408(
     answer = drive(server, client)
     _assert_rejected(answer, 408)
     assert "not read within" in answer[1]["error"]
+
+
+async def _trickle(port: int, chunks, interval: float):
+    """Send *chunks* *interval* seconds apart and read the whole answer;
+    stop sending once the server has answered.
+
+    Returns ``(status, json_body, chunks_sent)``.
+    """
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    sent, answer = 0, b""
+    try:
+        for chunk in chunks:
+            writer.write(chunk)
+            await writer.drain()
+            sent += 1
+            try:
+                # The pause between chunks doubles as a poll for an
+                # early answer.
+                answer = await asyncio.wait_for(reader.read(65536), interval)
+                break
+            except asyncio.TimeoutError:
+                continue
+        answer += await asyncio.wait_for(reader.read(), ANSWER_TIMEOUT_S)
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, BrokenPipeError):
+            pass
+    head, _, body = answer.partition(b"\r\n\r\n")
+    status = int(head.split(b"\r\n", 1)[0].split()[1])
+    return status, json.loads(body), sent
+
+
+def _paced_request(document):
+    """A valid request for *document* with ten padding headers, cut
+    into one chunk per line plus the body: each of the parser's reads
+    (a line, or the body) completes on one chunk."""
+    body = json.dumps(document_payload(document)).encode("utf-8")
+    padding = [f"X-Pad-{index}: {index}" for index in range(10)]
+    raw = _request(f"Content-Length: {len(body)}", *padding)
+    return raw.splitlines(keepends=True) + [body]
+
+
+def test_trickled_request_past_the_deadline_answers_408(
+    serving_pipeline, kb, plain_documents, monkeypatch
+):
+    """Slowloris: every read gets its chunk within a tenth of a second,
+    but the whole request takes over a second; the deadline covers the
+    request, not each read."""
+    monkeypatch.setattr(server_module, "REQUEST_READ_TIMEOUT_S", 0.4)
+    server = make_server(serving_pipeline, kb=kb)
+    chunks = _paced_request(plain_documents[0])
+
+    async def client(server):
+        return await _trickle(server.port, chunks, interval=0.1)
+
+    status, body, sent = drive(server, client)
+    _assert_rejected((status, body), 408)
+    assert "not read within" in body["error"]
+    # Answered mid-trickle, after several complete reads.
+    assert 2 <= sent < len(chunks)
+    assert server.admission.depth == 0
+
+
+def test_trickled_request_within_the_deadline_is_answered(
+    serving_pipeline, kb, plain_documents, monkeypatch
+):
+    monkeypatch.setattr(server_module, "REQUEST_READ_TIMEOUT_S", 3.0)
+    document = plain_documents[0]
+    server = make_server(serving_pipeline, kb=kb)
+    chunks = _paced_request(document)
+
+    async def client(server):
+        return await _trickle(server.port, chunks, interval=0.01)
+
+    status, body, sent = drive(server, client)
+    assert status == 200
+    assert sent == len(chunks)
+    want = serving_pipeline.disambiguate(document)
+    assert body["doc_id"] == document.doc_id
+    assert [
+        (a["surface"], a["start"], a["end"], a["entity"], a["score"])
+        for a in body["assignments"]
+    ] == [
+        (
+            a.mention.surface,
+            a.mention.start,
+            a.mention.end,
+            a.entity,
+            a.score,
+        )
+        for a in want.assignments
+    ]
+    assert server.admission.depth == 0

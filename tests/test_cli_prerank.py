@@ -1,8 +1,6 @@
-"""CLI surface of the pre-ranker and the embeddings subcommands."""
+"""CLI surface of the pre-ranker and the snapshot's embedding sections."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -46,25 +44,30 @@ class TestFlags:
     )
     def test_prerank_flags_parse(self, command, required):
         args = build_parser().parse_args(
-            [command, *required, "--prerank-topk", "8",
-             "--similarity-backend", "embedding"]
+            [command, *required, "--prerank-topk", "8"]
         )
         assert args.prerank_topk == 8
-        assert args.similarity_backend == "embedding"
 
     def test_prerank_defaults_off(self):
         args = build_parser().parse_args(
             ["evaluate", "--kb", "x", "--corpus", "y"]
         )
         assert args.prerank_topk is None
-        assert args.similarity_backend == "keyphrase"
 
-    def test_bad_similarity_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["evaluate", "--kb", "x", "--corpus", "y",
-                 "--similarity-backend", "nope"]
-            )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["embeddings", "train", "--kb", "x", "--out", "y"],
+            ["relatedness", "--kb", "x", "--measure", "embedding", "a"],
+            ["evaluate", "--kb", "x", "--corpus", "y",
+             "--relatedness", "embedding"],
+        ],
+    )
+    def test_embedding_scoring_surfaces_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_bad_topk_is_clean_cli_error(self, kb_dir, corpus_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -90,76 +93,6 @@ class TestEvaluate:
             == 0
         )
         assert capsys.readouterr().out == baseline
-
-    def test_embedding_backends_run(self, kb_dir, corpus_path, capsys):
-        assert (
-            main(
-                ["evaluate", "--kb", kb_dir, "--corpus", corpus_path,
-                 "--prerank-topk", "4",
-                 "--similarity-backend", "embedding",
-                 "--relatedness", "embedding"]
-            )
-            == 0
-        )
-        assert "micro accuracy" in capsys.readouterr().out
-
-
-class TestEmbeddingsSubcommand:
-    def test_train_and_inspect(self, kb_dir, tmp_path, capsys):
-        out = str(tmp_path / "model")
-        assert (
-            main(
-                ["embeddings", "train", "--kb", kb_dir, "--out", out,
-                 "--dim", "16", "--epochs", "1"]
-            )
-            == 0
-        )
-        line = capsys.readouterr().out
-        assert "d=16" in line
-        assert (
-            main(["embeddings", "inspect", out + ".npz"]) == 0
-        )
-        info = json.loads(capsys.readouterr().out)
-        assert info["dim"] == 16
-        assert info["meta"]["config"]["seed"] == 13
-        assert set(info["fingerprint"]) == {
-            "word_vectors", "entity_vectors",
-        }
-
-    def test_train_deterministic_across_runs(
-        self, kb_dir, tmp_path, capsys
-    ):
-        fingerprints = []
-        for name in ("a", "b"):
-            out = str(tmp_path / name)
-            assert (
-                main(
-                    ["embeddings", "train", "--kb", kb_dir, "--out", out,
-                     "--dim", "16", "--epochs", "1"]
-                )
-                == 0
-            )
-            capsys.readouterr()
-            assert main(["embeddings", "inspect", out + ".npz"]) == 0
-            fingerprints.append(
-                json.loads(capsys.readouterr().out)["fingerprint"]
-            )
-        assert fingerprints[0] == fingerprints[1]
-
-    def test_inspect_missing_file_fails_cleanly(self, capsys, tmp_path):
-        assert (
-            main(["embeddings", "inspect", str(tmp_path / "nope.npz")])
-            == 1
-        )
-        assert "error:" in capsys.readouterr().err
-
-    def test_bad_config_is_clean_cli_error(self, kb_dir, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["embeddings", "train", "--kb", kb_dir,
-                 "--out", str(tmp_path / "m"), "--dim", "0"]
-            )
-        assert "dim" in str(excinfo.value)
 
 
 class TestSnapshotEmbeddings:
@@ -195,21 +128,3 @@ class TestSnapshotEmbeddings:
         )
         assert "embeddings: none" in capsys.readouterr().out
 
-
-class TestRelatednessMeasure:
-    def test_embedding_measure_scores_pairs(self, kb_dir, capsys):
-        from repro.kb.io import load_knowledge_base
-
-        entities = sorted(load_knowledge_base(kb_dir).entity_ids())[:3]
-        assert (
-            main(
-                ["relatedness", "--kb", kb_dir, "--measure", "embedding",
-                 *entities]
-            )
-            == 0
-        )
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 3  # all pairs of three entities
-        for line in lines:
-            value = float(line.split()[-1])
-            assert 0.0 <= value <= 1.0

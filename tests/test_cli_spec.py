@@ -133,7 +133,6 @@ def test_flag_lists_cover_the_shared_helpers():
     assert {
         "relatedness",
         "prerank_topk",
-        "similarity_backend",
         "variant",
     } <= dests
 
